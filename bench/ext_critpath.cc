@@ -31,8 +31,6 @@
 //   * well-formed causal graphs everywhere, with per-iteration blame
 //     telescoping to exactly the iteration window (the engine's coverage
 //     contract);
-//   * the RunResult blame surface agrees with the report the engine
-//     returns (same analysis, two export paths);
 //   * the "infinite bandwidth" what-if for Baseline@5Gbps predicts the
 //     measured mean iteration of an actual 100 Gbps rerun of the same
 //     seed within 10% (first-order estimate vs ground truth).
@@ -59,11 +57,6 @@ struct Point {
   bool constrained;  ///< gated cell: P3 must beat Baseline + TF on share
 };
 
-struct Cell {
-  ps::RunResult run;
-  obs::BlameReport blame;
-};
-
 ps::ClusterConfig point_config(const Point& p) {
   ps::ClusterConfig cfg;
   cfg.method = p.method;
@@ -80,16 +73,15 @@ ps::ClusterConfig point_config(const Point& p) {
   return cfg;
 }
 
-Cell run_cell(const model::Workload& workload, const ps::ClusterConfig& cfg,
-              int warmup, int measured) {
+obs::BlameReport run_cell(const model::Workload& workload,
+                          const ps::ClusterConfig& cfg, int warmup,
+                          int measured) {
   ps::Cluster cluster(workload, cfg);
   obs::Tracer tracer;
   cluster.attach_tracer(&tracer);
-  Cell cell;
-  cell.run = cluster.run(warmup, measured);
+  cluster.run(warmup, measured);
   cluster.drain();
-  cell.blame = obs::analyze_critical_path(tracer, warmup);
-  return cell;
+  return obs::analyze_critical_path(tracer, warmup);
 }
 
 std::string fabric_name(const Point& p) { return p.hier ? "4:1" : "flat"; }
@@ -124,7 +116,7 @@ int main(int argc, char** argv) {
   const std::size_t truth_index = grid.size();
   grid.push_back({core::SyncMethod::kBaseline, 100.0, false, false});
 
-  std::vector<std::function<Cell()>> jobs;
+  std::vector<std::function<obs::BlameReport()>> jobs;
   jobs.reserve(grid.size());
   for (const Point& p : grid) {
     jobs.push_back([&workload, cfg = point_config(p), warmup, measured] {
@@ -141,10 +133,10 @@ int main(int argc, char** argv) {
     runner::Series s;
     s.name = core::sync_method_name(methods[m]);
     for (std::size_t b = 0; b < flat_bw.size(); ++b) {
-      const Cell& cell =
+      const obs::BlameReport& blame =
           cells[m * (flat_bw.size() + hier_bw.size()) + b];
       s.x.push_back(flat_bw[b]);
-      s.y.push_back(cell.blame.network_share() * 100.0);
+      s.y.push_back(blame.network_share() * 100.0);
     }
     shares.push_back(std::move(s));
   }
@@ -161,18 +153,12 @@ int main(int argc, char** argv) {
   CsvWriter csv(bench::out("ext_critpath_blame.csv"), header);
   int malformed = 0;
   int uncovered = 0;
-  int surface_mismatches = 0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const Point& p = grid[i];
-    const obs::BlameReport& blame = cells[i].blame;
+    const obs::BlameReport& blame = cells[i];
     if (!blame.problems.empty() || blame.iterations.empty()) ++malformed;
     for (const obs::IterationBlame& ib : blame.iterations) {
       if (std::fabs(ib.attributed() - ib.window()) > 1e-6) ++uncovered;
-    }
-    // The RunResult surface must be the same analysis the engine returns.
-    if (std::fabs(cells[i].run.blame_network_share -
-                  blame.network_share()) > 1e-12) {
-      ++surface_mismatches;
     }
     const double iters =
         blame.iterations.empty()
@@ -200,7 +186,7 @@ int main(int argc, char** argv) {
   CsvWriter wi_csv(bench::out("ext_critpath_whatif.csv"), wi_header);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const Point& p = grid[i];
-    for (const obs::WhatIf& wi : obs::standard_what_ifs(cells[i].blame)) {
+    for (const obs::WhatIf& wi : obs::standard_what_ifs(cells[i])) {
       wi_csv.row({core::sync_method_name(p.method), fabric_name(p),
                   Table::num(p.bandwidth_gbps, 0), wi.name,
                   Table::num(wi.estimated_mean_iteration_s, 6),
@@ -217,11 +203,11 @@ int main(int argc, char** argv) {
       const std::size_t stride = flat_bw.size() + hier_bw.size();
       const std::size_t i = m * stride + b;
       if (!grid[i].constrained) continue;
-      const double p3 = cells[i].blame.network_share();
+      const double p3 = cells[i].network_share();
       double base = 0.0;
       double tf = 0.0;
       for (std::size_t m2 = 0; m2 < methods.size(); ++m2) {
-        const double share = cells[m2 * stride + b].blame.network_share();
+        const double share = cells[m2 * stride + b].network_share();
         if (methods[m2] == core::SyncMethod::kBaseline) base = share;
         if (methods[m2] == core::SyncMethod::kTensorFlowStyle) tf = share;
       }
@@ -248,10 +234,10 @@ int main(int argc, char** argv) {
       if (methods[m] == core::SyncMethod::kBaseline) base5 = m * stride + 1;
     }
     double est = 0.0;
-    for (const obs::WhatIf& wi : obs::standard_what_ifs(cells[base5].blame)) {
+    for (const obs::WhatIf& wi : obs::standard_what_ifs(cells[base5])) {
       if (wi.name == "infinite_bandwidth") est = wi.estimated_mean_iteration_s;
     }
-    const obs::BlameReport& truth_blame = cells[truth_index].blame;
+    const obs::BlameReport& truth_blame = cells[truth_index];
     const double actual =
         truth_blame.iterations.empty()
             ? 0.0
@@ -289,15 +275,10 @@ int main(int argc, char** argv) {
                  "the iteration window\n", uncovered);
     failed = true;
   }
-  if (surface_mismatches > 0) {
-    std::fprintf(stderr, "FAIL: %d cell(s) where RunResult blame fields "
-                 "disagree with the engine's report\n", surface_mismatches);
-    failed = true;
-  }
   if (failed) return 1;
   std::printf("critpath invariants held: %zu well-formed cells, full "
-              "coverage, RunResult surface consistent, P3 collapses the "
-              "network-wait share in every constrained cell.\n",
+              "coverage, P3 collapses the network-wait share in every "
+              "constrained cell.\n",
               grid.size());
   return 0;
 }

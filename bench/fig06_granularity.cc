@@ -10,6 +10,7 @@
 
 #include "model/zoo.h"
 #include "ps/cluster.h"
+#include "trace/timeline.h"
 
 namespace {
 
@@ -48,7 +49,7 @@ double run_case(bool fine_grained, const char* title) {
 
   ps::Cluster cluster(w, cartoon_config(fine_grained));
   trace::Timeline tl;
-  cluster.attach_timeline(&tl);
+  cluster.attach_tracer(&tl.tracer());
   const auto result = cluster.run(2, 2);
 
   std::printf("--- %s ---\n", title);

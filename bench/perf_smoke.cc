@@ -1,11 +1,9 @@
-// Self-timing harness for the two perf claims this repo makes about its own
+// Self-timing harness for the perf claims this repo makes about its own
 // substrate (BENCH_perf.json is produced by this binary):
 //
-//   1. event-loop throughput — the slab/batched simulator vs a faithful
-//      in-process replica of the previous loop (std::function events in a
-//      std::priority_queue, copy-out of top()). Shared-host wall clocks are
-//      noisy, so the two loops run interleaved, rep by rep, and the ratio is
-//      taken best-of-N: adjacent measurements see the same machine weather.
+//   1. event-loop throughput — events/sec of the simulator core on a
+//      synthetic timer workload, best-of-N (absolute numbers for real
+//      cluster runs come from perf_e2e/).
 //   2. sweep fan-out — wall time of a toy bandwidth_sweep at --threads 1 vs
 //      --threads N, plus a check that both produce bit-identical Series
 //      (the determinism guarantee the parallel runner documents).
@@ -21,8 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,50 +40,10 @@ double seconds_since(Clock::time_point t0) {
 }
 
 // --------------------------------------------------------------------------
-// Legacy event loop replica (the pre-optimization simulator core, kept here
-// verbatim-in-spirit as the comparison baseline: type-erased std::function
-// callbacks, binary priority_queue of 48-byte events, copy of top() per pop).
-
-class LegacyLoop {
- public:
-  void schedule(double dt, std::function<void()> fn) {
-    events_.push(Event{now_ + dt, next_seq_++, std::move(fn)});
-  }
-  void run() {
-    while (!events_.empty()) {
-      Event ev = events_.top();  // top() is const: copy, as the old loop did
-      events_.pop();
-      now_ = ev.time;
-      ++executed_;
-      ev.fn();
-    }
-  }
-  double now() const { return now_; }
-  std::uint64_t executed() const { return executed_; }
-
- private:
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Order {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Order> events_;
-};
-
-// The measured workload, identical for both loops: `kChains` self-
-// rescheduling callback chains with LCG-pseudorandom delays — a steady-state
-// queue depth of kChains and an alloc/move pattern like the protocol's timer
-// and delivery events. The LCG keeps the event schedule identical across
-// loops and reps.
+// The measured workload: `kChains` self-rescheduling callback chains with
+// LCG-pseudorandom delays — a steady-state queue depth of kChains and an
+// alloc/move pattern like the protocol's timer and delivery events. The LCG
+// keeps the event schedule identical across reps.
 constexpr int kChains = 64;
 
 struct ChainState {
@@ -100,8 +56,8 @@ double next_delay(std::uint64_t& rng) {
   return 1e-6 * static_cast<double>((rng >> 33) & 0xFFFF);
 }
 
-template <typename Loop>
-double time_loop(Loop& loop, std::uint64_t total_events) {
+double time_loop(std::uint64_t total_events) {
+  sim::Simulator loop;
   std::vector<ChainState> chains(kChains);
   const std::uint64_t per_chain = total_events / kChains;
   const auto t0 = Clock::now();
@@ -109,7 +65,7 @@ double time_loop(Loop& loop, std::uint64_t total_events) {
     chains[c] = {static_cast<std::uint64_t>(c) * 0x9E3779B97F4A7C15ULL + 1,
                  per_chain};
     struct Step {
-      Loop* loop;
+      sim::Simulator* loop;
       ChainState* state;
       void operator()() const {
         if (--state->remaining == 0) return;
@@ -122,28 +78,16 @@ double time_loop(Loop& loop, std::uint64_t total_events) {
   return seconds_since(t0);
 }
 
-struct LoopResult {
-  double legacy_evps = 0.0;
-  double optimized_evps = 0.0;
-  double speedup = 0.0;
-};
-
-LoopResult bench_event_loop(std::uint64_t events, int reps) {
+/// Best-of-`reps` events/sec of the simulator core.
+double bench_event_loop(std::uint64_t events, int reps) {
   const double ev = static_cast<double>(events);
-  LoopResult r;
+  double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    // Interleave so both loops sample the same host conditions.
-    LegacyLoop legacy;
-    const double t_legacy = time_loop(legacy, events);
-    sim::Simulator optimized;
-    const double t_opt = time_loop(optimized, events);
-    r.legacy_evps = std::max(r.legacy_evps, ev / t_legacy);
-    r.optimized_evps = std::max(r.optimized_evps, ev / t_opt);
-    std::printf("  rep %d: legacy %.2fM ev/s, optimized %.2fM ev/s\n", rep + 1,
-                ev / t_legacy / 1e6, ev / t_opt / 1e6);
+    const double evps = ev / time_loop(events);
+    best = std::max(best, evps);
+    std::printf("  rep %d: %.2fM ev/s\n", rep + 1, evps / 1e6);
   }
-  r.speedup = r.optimized_evps / r.legacy_evps;
-  return r;
+  return best;
 }
 
 // --------------------------------------------------------------------------
@@ -184,7 +128,8 @@ bool series_identical(const std::vector<runner::Series>& a,
 // --------------------------------------------------------------------------
 // Observability guard: every tracer hook in the protocol sits behind an
 // `enabled()` branch, so an attached-but-disabled tracer must cost nearly
-// nothing. Same interleaved best-of-N scheme as the event-loop section.
+// nothing. The two runs alternate rep by rep and each side keeps its best,
+// so both sample the same host conditions.
 
 constexpr double kObsOverheadBudget = 0.02;
 
@@ -288,14 +233,11 @@ int main(int argc, char** argv) {
   if (threads < 2) threads = 2;
   const unsigned cores = std::thread::hardware_concurrency();
 
-  std::printf("== perf smoke: event loop (%llu events x %d reps, "
-              "interleaved) ==\n",
+  std::printf("== perf smoke: event loop (%llu events x %d reps) ==\n",
               static_cast<unsigned long long>(events), reps);
-  const LoopResult loop = bench_event_loop(events, reps);
-  std::printf("event loop: legacy %.2fM ev/s, optimized %.2fM ev/s "
-              "(best of %d) -> %.2fx\n\n",
-              loop.legacy_evps / 1e6, loop.optimized_evps / 1e6, reps,
-              loop.speedup);
+  const double loop_evps = bench_event_loop(events, reps);
+  std::printf("event loop: %.2fM ev/s (best of %d)\n\n", loop_evps / 1e6,
+              reps);
 
   std::printf("== perf smoke: sweep fan-out (toy bandwidth sweep, "
               "1 vs %d threads) ==\n", threads);
@@ -338,9 +280,7 @@ int main(int argc, char** argv) {
                  "  \"config\": {\"events\": %llu, \"reps\": %d, "
                  "\"sweep_threads\": %d, \"sweep_measured\": %d},\n"
                  "  \"event_loop\": {\n"
-                 "    \"legacy_events_per_sec\": %.0f,\n"
-                 "    \"optimized_events_per_sec\": %.0f,\n"
-                 "    \"speedup\": %.3f\n"
+                 "    \"optimized_events_per_sec\": %.0f\n"
                  "  },\n"
                  "  \"sweep\": {\n"
                  "    \"serial_seconds\": %.3f,\n"
@@ -363,8 +303,7 @@ int main(int argc, char** argv) {
                  "  }\n"
                  "}\n",
                  cores, static_cast<unsigned long long>(events), reps, threads,
-                 sweep_measured, loop.legacy_evps, loop.optimized_evps,
-                 loop.speedup, t_serial, t_parallel, sweep_speedup,
+                 sweep_measured, loop_evps, t_serial, t_parallel, sweep_speedup,
                  identical ? "true" : "false", obs.baseline_evps,
                  obs.disabled_evps, obs.overhead, kObsOverheadBudget,
                  obs.pass ? "true" : "false", critpath.trace_events,

@@ -1,7 +1,5 @@
 #include "ps/cluster.h"
 
-#include "obs/critpath.h"
-
 #include <algorithm>
 #include <limits>
 #include <optional>
@@ -299,8 +297,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     for (int l = 0; l < layers; ++l) {
       ws->gates.push_back(std::make_unique<sim::VersionGate>(sim_));
     }
-    ws->param_bytes.assign(static_cast<std::size_t>(layers), 0);
-    ws->notify_count.assign(static_cast<std::size_t>(layers), 0);
     ws->rng = Rng(cfg_.seed + 1000003ULL * static_cast<std::uint64_t>(w + 1));
     // Base workers hold the initial weights; a joiner's process does not
     // exist yet and will sync parameters through the join handshake.
@@ -308,7 +304,7 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     ws->recv_bytes.assign(n_slices, 0);
     ws->recv_inflight.assign(n_slices, -1);
     ws->last_push_iter.assign(n_slices, -1);
-    if (membership_on_) {
+    if (!sync_.immediate_broadcast && !sync_.deferred_pull) {
       ws->notify_version.assign(n_slices, -1);
       ws->pulled_round.assign(static_cast<std::size_t>(layers), -1);
     }
@@ -467,10 +463,6 @@ Cluster::~Cluster() = default;
 void Cluster::attach_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   net_->attach_tracer(tracer);
-}
-
-void Cluster::attach_timeline(trace::Timeline* timeline) {
-  attach_tracer(timeline == nullptr ? nullptr : &timeline->tracer());
 }
 
 void Cluster::mem_mark(int node, const char* label) {
@@ -1446,21 +1438,9 @@ void Cluster::worker_on_agg_dead(int w) {
 void Cluster::worker_on_notify(int w, const net::Message& m) {
   auto& ws = *workers_[static_cast<std::size_t>(w)];
   if (tracing()) lc(obs::Stage::kNotify, w, m.slice, m.iteration, 0);
-  const auto layer = static_cast<std::size_t>(m.layer);
-  const auto& slices = partition_.layer_slices[layer];
-  if (!membership_on_) {
-    if (++ws.notify_count[layer] ==
-        static_cast<int>(slices.size())) {
-      // MXNet issues the pull only once every slice of the layer has been
-      // notified (the behaviour P3 removes, Section 4.2).
-      ws.notify_count[layer] = 0;
-      for (auto slice : slices) enqueue_pull(w, slice, m.iteration);
-    }
-    return;
-  }
   auto& nv = ws.notify_version[static_cast<std::size_t>(m.slice)];
   nv = std::max(nv, m.iteration);
-  maybe_pull_layer(w, static_cast<int>(layer));
+  maybe_pull_layer(w, m.layer);
 }
 
 void Cluster::maybe_pull_layer(int w, int layer) {
@@ -1531,7 +1511,7 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
   // Recovery-path params (stale-push replies, failover re-sends) count as
   // round-completion evidence: a layer whose notify died with a crashed
   // server can still pull its remaining slices.
-  if (membership_on_) maybe_pull_layer(w, static_cast<int>(layer));
+  maybe_pull_layer(w, static_cast<int>(layer));
 }
 
 void Cluster::send_params(int server, std::int64_t slice, int worker) {
@@ -2985,8 +2965,6 @@ void Cluster::teardown_process_state(int node) {
     sendq_depth_changed(node,
                         static_cast<std::int64_t>(ws.sendq.size()) -
                             ws.sendq_depth);
-    ws.param_bytes.assign(ws.param_bytes.size(), 0);
-    ws.notify_count.assign(ws.notify_count.size(), 0);
     ws.notify_version.assign(ws.notify_version.size(), -1);
     ws.pulled_round.assign(ws.pulled_round.size(), -1);
     ws.recv_version.assign(ws.recv_version.size(), -1);  // holds nothing
@@ -3605,93 +3583,56 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
     }
   }
 
-  if (crashes_.value() == 0 && joins_.value() == 0 && !scale_plane_) {
-    // Crash-free path: the exact pre-membership arithmetic, so results stay
-    // bit-identical to the seed engine. A scale-plane run always takes the
-    // windowed path below — a drained worker's history ends mid-run, which
-    // breaks the full-history indexing this branch assumes.
-    TimeS start = 0.0;
-    TimeS end = 0.0;
-    for (const auto& ws : workers_) {
-      const auto& done = ws->iter_done;
-      if (warmup_iterations > 0) {
-        start = std::max(
-            start, done[static_cast<std::size_t>(warmup_iterations - 1)]);
-      }
-      end = std::max(end, done.back());
+  // Measurement window. Workers may have shorter (crashed early, joined
+  // late, drained) or longer (restarted mid-run) histories, and under DSSP
+  // a fast worker can finish a measured iteration before the slowest one
+  // finishes warmup. The window opens when the last worker that never
+  // crashed or joined finishes warmup — a rejoined or admitted worker's
+  // history starts mid-run, and anchoring on it would shrink the window and
+  // inflate throughput — and every completion inside the window counts,
+  // whichever worker produced it.
+  TimeS start = 0.0;
+  TimeS end = 0.0;
+  for (int w = 0; w < n_total_workers(); ++w) {
+    const auto& done = workers_[static_cast<std::size_t>(w)]->iter_done;
+    if (done.empty()) continue;
+    end = std::max(end, done.back());
+    const bool ever_crashed =
+        node_state_[static_cast<std::size_t>(w)].epoch > 0;
+    if (!ever_crashed && warmup_iterations > 0 &&
+        done.size() >= static_cast<std::size_t>(warmup_iterations)) {
+      start = std::max(
+          start, done[static_cast<std::size_t>(warmup_iterations - 1)]);
     }
-    const double samples = static_cast<double>(cfg_.n_workers) *
-                           workload_.batch_per_worker * measured_iterations;
-    result.total_time = end;
-    result.throughput = samples / (end - start);
-    const auto& w0 = workers_.front()->iter_done;
-    for (int i = warmup_iterations; i < target_iterations_; ++i) {
-      const TimeS prev =
-          i == 0 ? 0.0 : w0[static_cast<std::size_t>(i - 1)];
-      result.iteration_times.push_back(w0[static_cast<std::size_t>(i)] - prev);
+  }
+  std::int64_t measured_iters = 0;
+  double stall_sum = 0.0;
+  for (const auto& ws : workers_) {
+    for (std::size_t i = 0; i < ws->iter_done.size(); ++i) {
+      if (ws->iter_done[i] <= start) continue;
+      ++measured_iters;
+      if (i < ws->iter_stall.size()) stall_sum += ws->iter_stall[i];
     }
+  }
+  result.total_time = end;
+  const double samples = static_cast<double>(measured_iters) *
+                         workload_.batch_per_worker;
+  result.throughput = end > start ? samples / (end - start) : 0.0;
+  const auto& w0 = workers_.front()->iter_done;
+  for (std::size_t i = static_cast<std::size_t>(warmup_iterations);
+       i < w0.size(); ++i) {
+    const TimeS prev = i == 0 ? 0.0 : w0[i - 1];
+    result.iteration_times.push_back(w0[i] - prev);
+  }
+  if (!result.iteration_times.empty()) {
     double sum = 0.0;
     for (TimeS t : result.iteration_times) sum += t;
     result.mean_iteration_time =
         sum / static_cast<double>(result.iteration_times.size());
-    double stall_sum = 0.0;
-    for (const auto& ws : workers_) {
-      for (int i = warmup_iterations; i < target_iterations_; ++i) {
-        stall_sum += ws->iter_stall[static_cast<std::size_t>(i)];
-      }
-    }
-    result.mean_stall_time = stall_sum /
-                             (static_cast<double>(cfg_.n_workers) *
-                              measured_iterations);
-  } else {
-    // Crash/join runs: workers may have shorter (crashed early, or joined
-    // late) or longer (restarted mid-run) histories. The measurement window
-    // is anchored on workers that never crashed or joined — a rejoined or
-    // admitted worker's history starts mid-run, and anchoring on it would
-    // shrink the window and inflate throughput — then every completion
-    // inside the window counts, whichever worker produced it.
-    TimeS start = 0.0;
-    TimeS end = 0.0;
-    for (int w = 0; w < n_total_workers(); ++w) {
-      const auto& done = workers_[static_cast<std::size_t>(w)]->iter_done;
-      if (done.empty()) continue;
-      end = std::max(end, done.back());
-      const bool ever_crashed = node_state_[static_cast<std::size_t>(w)].epoch > 0;
-      if (!ever_crashed && warmup_iterations > 0 &&
-          done.size() >= static_cast<std::size_t>(warmup_iterations)) {
-        start = std::max(
-            start, done[static_cast<std::size_t>(warmup_iterations - 1)]);
-      }
-    }
-    std::int64_t measured_iters = 0;
-    double stall_sum = 0.0;
-    for (const auto& ws : workers_) {
-      for (std::size_t i = 0; i < ws->iter_done.size(); ++i) {
-        if (ws->iter_done[i] <= start) continue;
-        ++measured_iters;
-        if (i < ws->iter_stall.size()) stall_sum += ws->iter_stall[i];
-      }
-    }
-    result.total_time = end;
-    const double samples = static_cast<double>(measured_iters) *
-                           workload_.batch_per_worker;
-    result.throughput = end > start ? samples / (end - start) : 0.0;
-    const auto& w0 = workers_.front()->iter_done;
-    for (std::size_t i = static_cast<std::size_t>(warmup_iterations);
-         i < w0.size(); ++i) {
-      const TimeS prev = i == 0 ? 0.0 : w0[i - 1];
-      result.iteration_times.push_back(w0[i] - prev);
-    }
-    if (!result.iteration_times.empty()) {
-      double sum = 0.0;
-      for (TimeS t : result.iteration_times) sum += t;
-      result.mean_iteration_time =
-          sum / static_cast<double>(result.iteration_times.size());
-    }
-    if (measured_iters > 0) {
-      result.mean_stall_time =
-          stall_sum / static_cast<double>(measured_iters);
-    }
+  }
+  if (measured_iters > 0) {
+    result.mean_stall_time =
+        stall_sum / static_cast<double>(measured_iters);
   }
   if (dssp_on_) {
     // Time-weighted mean of the adapted bound — denominator of the
@@ -3704,38 +3645,6 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
   result.duplicates_suppressed = duplicates_suppressed_.value();
   result.goodput_bytes = goodput_bytes_.value();
   result.wire_bytes = net_->bytes_posted();
-  if (tracing()) {
-    // Blame attribution over the measured iterations. Gauges are get-or-
-    // created here, so untraced runs keep byte-identical registry snapshots.
-    const obs::BlameReport blame =
-        obs::analyze_critical_path(*tracer_, warmup_iterations);
-    if (blame.problems.empty() && !blame.iterations.empty()) {
-      result.blame_iterations =
-          static_cast<std::int64_t>(blame.iterations.size());
-      result.blame_chain_stalls = blame.chain_stalls;
-      result.blame_total_s = blame.total_s;
-      result.blame_forward_share = blame.share(obs::Blame::kForward);
-      result.blame_backward_share = blame.share(obs::Blame::kBackward);
-      result.blame_sendq_share = blame.share(obs::Blame::kSendQueue);
-      result.blame_inversion_share = blame.share(obs::Blame::kInversion);
-      result.blame_wire_share = blame.share(obs::Blame::kWire);
-      result.blame_uplink_share = blame.share(obs::Blame::kUplink);
-      result.blame_downlink_share = blame.share(obs::Blame::kDownlink);
-      result.blame_server_share = blame.share(obs::Blame::kServer);
-      result.blame_agghold_share = blame.share(obs::Blame::kAggHold);
-      result.blame_recovery_share = blame.share(obs::Blame::kRecovery);
-      result.blame_sspwait_share = blame.share(obs::Blame::kSspWait);
-      result.blame_other_share = blame.share(obs::Blame::kOther);
-      result.blame_network_share = blame.network_share();
-      for (int c = 0; c < obs::kBlameCount; ++c) {
-        registry_.gauge(std::string("blame.") +
-                        obs::blame_name(static_cast<obs::Blame>(c)) +
-                        "_share")
-            .set(blame.share(static_cast<obs::Blame>(c)));
-      }
-      registry_.gauge("blame.network_share").set(result.blame_network_share);
-    }
-  }
   return result;
 }
 

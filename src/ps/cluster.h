@@ -34,8 +34,7 @@
 // by rehydrating checkpoint + delta-sync from the current leader; crashed
 // workers rejoin under a bounded-staleness window. All of it is driven by
 // the simulated clock and the seeded RNGs, so crash runs are bit-identical
-// across runner thread counts, and a run without crashes posts the exact
-// pre-membership event sequence.
+// across runner thread counts.
 //
 // Elastic scale-out (docs/PROTOCOL.md): `net::NodeJoin` events admit brand
 // new colocated worker+server nodes mid-run; a deterministic rebalance
@@ -75,7 +74,6 @@
 #include "sim/queue.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
-#include "trace/timeline.h"
 
 namespace p3::ps {
 
@@ -318,27 +316,6 @@ struct RunResult {
   /// incurred (ext_dssp's scoring denominator).
   double mean_staleness_bound = 0.0;
   TimeS mean_gate_wait = 0;            ///< mean wait per gate passage
-
-  // Critical-path blame attribution (zero unless a tracer was attached; see
-  // obs::analyze_critical_path). Shares are fractions of the summed measured
-  // iteration windows.
-  std::int64_t blame_iterations = 0;   ///< iterations the walk attributed
-  std::int64_t blame_chain_stalls = 0; ///< unresolved causal links
-  double blame_total_s = 0.0;          ///< summed iteration windows
-  double blame_forward_share = 0.0;
-  double blame_backward_share = 0.0;
-  double blame_sendq_share = 0.0;
-  double blame_inversion_share = 0.0;
-  double blame_wire_share = 0.0;
-  double blame_uplink_share = 0.0;
-  double blame_downlink_share = 0.0;
-  double blame_server_share = 0.0;
-  double blame_agghold_share = 0.0;
-  double blame_recovery_share = 0.0;
-  double blame_sspwait_share = 0.0;
-  double blame_other_share = 0.0;
-  /// sendq + inversion + wire + uplink + downlink: the share P3 collapses.
-  double blame_network_share = 0.0;
 };
 
 class Cluster {
@@ -370,8 +347,6 @@ class Cluster {
   /// slice-lifecycle records, and P3_LOG lines as instant events while
   /// run() executes. Pass nullptr to detach.
   void attach_tracer(obs::Tracer* tracer);
-  /// Legacy observer spelling: records onto the timeline's backing tracer.
-  void attach_timeline(trace::Timeline* timeline);
 
   /// Metrics registry backing every counter below, plus queue-depth gauges
   /// ("w<i>.sendq_depth", "n<i>.rxq_depth") and per-iteration time/stall
@@ -555,8 +530,6 @@ class Cluster {
   struct WorkerState {
     explicit WorkerState(sim::Simulator& sim) : sendq(sim) {}
     std::vector<std::unique_ptr<sim::VersionGate>> gates;  // per layer
-    std::vector<Bytes> param_bytes;  // received payload this round, per layer
-    std::vector<int> notify_count;   // notifications this round, per layer
     sim::PriorityQueue<SendItem, SendOrder> sendq;
     std::int64_t send_seq = 0;
     std::int64_t sendq_depth = 0;        ///< fragments queued right now
@@ -575,12 +548,13 @@ class Cluster {
     /// re-push after a leadership change: any slice whose resulting params
     /// were not yet received is re-sent to the new primary.
     std::vector<std::int64_t> last_push_iter;
-    /// Membership-mode notify bookkeeping (sized only when the plane is
-    /// armed). `notify_version[s]` is the newest round slice s was notified
+    /// Notify/pull bookkeeping (sized only for methods whose servers
+    /// notify: neither immediate broadcast nor deferred pull).
+    /// `notify_version[s]` is the newest round slice s was notified
     /// complete for; `pulled_round[l]` is the last round layer l's pulls
-    /// were issued for. Versioned evidence replaces the raw notify counter
-    /// so a notify that died with a crashed server cannot wedge the layer:
-    /// parameters received through a recovery path count as evidence too.
+    /// were issued for. Versioned evidence, not a notify count, so a notify
+    /// that died with a crashed server cannot wedge the layer: parameters
+    /// received through a recovery path count as evidence too.
     std::vector<std::int64_t> notify_version;
     std::vector<std::int64_t> pulled_round;
     bool finished = false;  ///< reached the iteration target (counted once)
@@ -759,10 +733,10 @@ class Cluster {
   /// Re-push every slice of `group` whose parameters have not returned to
   /// worker `w` yet; called after the node's leadership view moves.
   void worker_repush_group(int w, int group);
-  /// Membership-mode pull trigger: issue the layer's pulls once every slice
-  /// has evidence its round completed (a notify, or parameters that arrived
-  /// through a recovery path). Fires at the same event as the legacy notify
-  /// counter in fault-free runs.
+  /// Notify/pull trigger: issue the layer's pulls once every slice has
+  /// evidence its round completed (a notify, or parameters that arrived
+  /// through a recovery path). MXNet pulls a layer only after all of its
+  /// slices were notified — the behaviour P3 removes (Section 4.2).
   void maybe_pull_layer(int w, int layer);
   /// The node a worker should address for `slice` (its view's leader).
   int slice_dst_node(int worker, std::int64_t slice) const;

@@ -2,11 +2,12 @@
 //
 // Historically the Timeline stored spans itself; it is now a *view* plus
 // renderer: `add()` records into an owned tracer, and every accessor derives
-// from the tracer's event buffer. Attaching a Timeline to a Network or
-// Cluster therefore also captures flow arrows, counters, and lifecycle
-// records on the same tracer — export them with `tracer().write_chrome_json`
-// — while the ASCII rendering used to regenerate Figs 4 and 6 stays
-// byte-identical to the original implementation.
+// from the tracer's event buffer. Attaching a Timeline's tracer to a Network
+// or Cluster (`attach_tracer(&tl.tracer())`) therefore also captures flow
+// arrows, counters, and lifecycle records on the same tracer — export them
+// with `tracer().write_chrome_json` — while the ASCII rendering used to
+// regenerate Figs 4 and 6 stays byte-identical to the original
+// implementation.
 #pragma once
 
 #include <string>

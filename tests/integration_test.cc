@@ -10,6 +10,7 @@
 #include "model/zoo.h"
 #include "ps/cluster.h"
 #include "runner/experiment.h"
+#include "trace/timeline.h"
 
 namespace p3 {
 namespace {
@@ -150,7 +151,7 @@ TEST(Integration, P3TimelineSendsFirstLayerBeforeLastLayer) {
   cfg.slice_params = 50'000;
   ps::Cluster cluster(w, cfg);
   trace::Timeline tl;
-  cluster.attach_timeline(&tl);
+  cluster.attach_tracer(&tl.tracer());
   cluster.run(1, 2);
 
   const auto spans = tl.lane_spans("n0.tx");
@@ -183,7 +184,7 @@ TEST(Integration, BaselineTimelineIsFifo) {
   cfg.dedicated_servers = true;
   ps::Cluster cluster(w, cfg);
   trace::Timeline tl;
-  cluster.attach_timeline(&tl);
+  cluster.attach_tracer(&tl.tracer());
   cluster.run(0, 1);
   cluster.drain();
 

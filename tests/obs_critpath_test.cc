@@ -203,33 +203,5 @@ TEST(Critpath, EmptyTraceIsMalformed) {
   EXPECT_FALSE(blame.problems.empty());
 }
 
-TEST(Critpath, RunResultExportsBlameShares) {
-  // Surface #2: the same analysis lands in RunResult (and the registry)
-  // when a tracer is attached.
-  const ClusterConfig cfg = base_config(SyncMethod::kP3);
-  Cluster cluster(small_workload(), cfg);
-  obs::Tracer tracer;
-  cluster.attach_tracer(&tracer);
-  const RunResult run = cluster.run(1, 3);
-  const obs::BlameReport blame = obs::analyze_critical_path(tracer, 1);
-  ASSERT_FALSE(blame.iterations.empty());
-  EXPECT_EQ(run.blame_iterations,
-            static_cast<std::int64_t>(blame.iterations.size()));
-  EXPECT_DOUBLE_EQ(run.blame_network_share, blame.network_share());
-  EXPECT_DOUBLE_EQ(run.blame_backward_share,
-                   blame.share(obs::Blame::kBackward));
-  const obs::Gauge* g = cluster.metrics().find_gauge("blame.network_share");
-  ASSERT_NE(g, nullptr);
-  EXPECT_DOUBLE_EQ(g->value(), blame.network_share());
-}
-
-TEST(Critpath, UntracedRunExportsNothing) {
-  const ClusterConfig cfg = base_config(SyncMethod::kP3);
-  Cluster cluster(small_workload(), cfg);
-  const RunResult run = cluster.run(1, 3);
-  EXPECT_EQ(run.blame_iterations, 0);
-  EXPECT_EQ(cluster.metrics().find_gauge("blame.network_share"), nullptr);
-}
-
 }  // namespace
 }  // namespace p3::ps

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <set>
 #include <tuple>
 
 #include "model/zoo.h"
+#include "trace/timeline.h"
 
 namespace p3::ps {
 namespace {
@@ -123,6 +128,62 @@ TEST(ClusterProtocol, BaselineUsesNotifyAndPull) {
   const auto expected = cluster.partition().num_slices() * 4 * 2;
   EXPECT_EQ(cluster.notifies_sent(), expected);
   EXPECT_EQ(cluster.pulls_sent(), expected);
+}
+
+TEST(ClusterProtocol, NotifyPullWaitsForWholeLayer) {
+  // Section 4.2: an MXNet worker pulls a layer only after every slice of it
+  // was notified complete. A threshold below the layer size splits each
+  // layer across all 4 servers, so the notifies of one layer arrive at
+  // different times and an early pull would show up in the lifecycle.
+  for (const SyncMethod method :
+       {SyncMethod::kBaseline, SyncMethod::kPoseidonWFBP}) {
+    SCOPED_TRACE(core::sync_method_name(method));
+    ClusterConfig cfg = small_config(method);
+    cfg.kvstore_threshold = 100'000;
+    Cluster cluster(small_workload(), cfg);
+    obs::Tracer tracer;
+    cluster.attach_tracer(&tracer);
+    const int iterations = 3;
+    cluster.run(0, iterations);
+    cluster.drain();
+    const auto& part = cluster.partition();
+    const auto servers = static_cast<std::size_t>(cfg.n_workers);
+    for (const auto& slices : part.layer_slices) {
+      ASSERT_EQ(slices.size(), servers);
+    }
+
+    struct LayerRound {
+      TimeS last_notify = -std::numeric_limits<TimeS>::infinity();
+      TimeS first_pull = std::numeric_limits<TimeS>::infinity();
+      std::set<std::int32_t> notified;    ///< slices notified complete
+      std::map<std::int32_t, int> pulls;  ///< pull count per slice
+    };
+    std::map<std::tuple<int, std::int32_t, std::int64_t>, LayerRound> rounds;
+    for (const obs::LifecycleRecord& r : tracer.lifecycle_records()) {
+      if (r.stage != obs::Stage::kNotify && r.stage != obs::Stage::kPull) {
+        continue;
+      }
+      auto& lr = rounds[{r.worker, r.layer, r.iteration}];
+      if (r.stage == obs::Stage::kNotify) {
+        lr.last_notify = std::max(lr.last_notify, r.t);
+        lr.notified.insert(r.slice);
+      } else {
+        lr.first_pull = std::min(lr.first_pull, r.t);
+        ++lr.pulls[r.slice];
+      }
+    }
+    ASSERT_EQ(rounds.size(), static_cast<std::size_t>(cfg.n_workers) *
+                                 part.layer_slices.size() * iterations);
+    for (const auto& [key, lr] : rounds) {
+      const auto [w, layer, it] = key;
+      SCOPED_TRACE("worker " + std::to_string(w) + " layer " +
+                   std::to_string(layer) + " iteration " + std::to_string(it));
+      EXPECT_EQ(lr.notified.size(), servers);
+      EXPECT_GE(lr.first_pull, lr.last_notify);
+      ASSERT_EQ(lr.pulls.size(), servers);
+      for (const auto& [slice, n] : lr.pulls) EXPECT_EQ(n, 1) << slice;
+    }
+  }
 }
 
 TEST(ClusterProtocol, P3HasNoNotifyOrPull) {
@@ -262,7 +323,7 @@ TEST(ClusterTimeline, RecordsComputeAndServerLanes) {
   model::Workload w = small_workload(2, 50'000, 0.004);
   Cluster cluster(w, small_config(SyncMethod::kP3, 2, 10.0));
   trace::Timeline tl;
-  cluster.attach_timeline(&tl);
+  cluster.attach_tracer(&tl.tracer());
   cluster.run(0, 2);
   cluster.drain();
   EXPECT_FALSE(tl.lane_spans("w0.cmp").empty());
