@@ -155,8 +155,7 @@ Cell run_once(const model::Workload& workload, const ps::ClusterConfig& cfg,
                                     /*seed=*/99, kBaseWorkers);
   Cell cell;
   // No drain(): the foreign tenant never stops offering load, so the
-  // simulator never goes idle — every scale counter below is already
-  // snapshotted into the RunResult when the measured window closes.
+  // simulator never goes idle.
   cell.run = cluster.run(warmup, measured);
   const auto p99_of = [](std::vector<TimeS> times) {
     if (times.empty()) return 0.0;
@@ -248,13 +247,16 @@ int main(int argc, char** argv) {
     const Point& p = grid[i];
     const Cell& c = cells[i];
     const ps::RunResult& r = c.run;
+    const std::int64_t dual =
+        ps::counter(r, "membership.dual_primary_windows");
+    const std::int64_t joins = ps::counter(r, "membership.joins");
+    const std::int64_t drained = ps::counter(r, "scale.drains_completed");
     const double slo = tight(p.scenario) ? kSloTight : kSloLoose;
     const bool slo_ok = c.tail_p99 <= slo;
     const std::string label = std::string(core::sync_method_name(p.method)) +
                               " " + scenario_name(p.scenario);
-    if (r.dual_primary_windows != 0) {
-      problems.push_back(label + ": " +
-                         std::to_string(r.dual_primary_windows) +
+    if (dual != 0) {
+      problems.push_back(label + ": " + std::to_string(dual) +
                          " dual-primary window(s) (expected 0)");
     }
     for (std::size_t d = 1; d < r.scale_decision_times.size(); ++d) {
@@ -284,17 +286,16 @@ int main(int argc, char** argv) {
         // standbys. A method that rides out the same load statically
         // (P3's scheduling can) is allowed to hold without scaling.
         const Cell& static_cell = cells[i - 1];  // same method, static/tight
-        if (static_cell.tail_p99 > slo && r.joins < 2) {
+        if (static_cell.tail_p99 > slo && joins < 2) {
           problems.push_back(label +
                              ": static violates the SLO yet sustained "
                              "pressure admitted only " +
-                             std::to_string(r.joins) + " standby(s)");
+                             std::to_string(joins) + " standby(s)");
         }
       }
-      if (p.scenario == Scenario::kAutoLoose && r.drains_completed != 1) {
+      if (p.scenario == Scenario::kAutoLoose && drained != 1) {
         problems.push_back(label + ": expected the surplus drain, saw " +
-                           std::to_string(r.drains_completed) +
-                           " completed drain(s)");
+                           std::to_string(drained) + " completed drain(s)");
       }
     }
     const std::vector<std::string> row = {
@@ -303,13 +304,13 @@ int main(int argc, char** argv) {
         Table::num(c.p99, 3),
         Table::num(c.tail_p99, 3),
         slo_ok ? "yes" : "NO",
-        std::to_string(r.scale_decisions),
-        std::to_string(r.joins),
-        std::to_string(r.drains_started),
-        std::to_string(r.drains_completed),
-        std::to_string(r.sheds),
-        std::to_string(r.slo_violation_ticks),
-        std::to_string(r.dual_primary_windows),
+        std::to_string(ps::counter(r, "scale.decisions")),
+        std::to_string(joins),
+        std::to_string(ps::counter(r, "scale.drains_started")),
+        std::to_string(drained),
+        std::to_string(ps::counter(r, "scale.sheds")),
+        std::to_string(ps::counter(r, "scale.slo_violation_ticks")),
+        std::to_string(dual),
         Table::num(r.throughput, 2)};
     table.add_row(row);
     csv.row(row);

@@ -131,13 +131,13 @@ int main(int argc, char** argv) {
     const std::vector<std::string> row = {
         core::sync_method_name(p.method),
         std::to_string(p.replication),
-        std::to_string(r.crashes),
-        std::to_string(r.restarts),
-        std::to_string(r.failovers),
-        std::to_string(r.worker_rejoins),
-        std::to_string(r.rehydrations),
-        std::to_string(r.checkpoints_written),
-        std::to_string(r.stale_pushes),
+        std::to_string(ps::counter(r, "recovery.crashes")),
+        std::to_string(ps::counter(r, "recovery.restarts")),
+        std::to_string(ps::counter(r, "recovery.failovers")),
+        std::to_string(ps::counter(r, "recovery.worker_rejoins")),
+        std::to_string(ps::counter(r, "recovery.rehydrations")),
+        std::to_string(ps::counter(r, "recovery.checkpoints_written")),
+        std::to_string(ps::counter(r, "recovery.stale_pushes")),
         Table::num(r.throughput, 2)};
     table.add_row(row);
     csv.row(row);

@@ -181,7 +181,8 @@ std::vector<Policy> policies() {
 }
 
 double score(const ps::RunResult& r) {
-  return r.throughput / (1.0 + kStalenessTax * r.mean_staleness_bound);
+  const double mean_bound = r.metrics.at<obs::Gauge>("dssp.mean_bound").value();
+  return r.throughput / (1.0 + kStalenessTax * mean_bound);
 }
 
 }  // namespace
@@ -224,20 +225,21 @@ int main(int argc, char** argv) {
   for (const Regime& reg : regs) {
     for (const Policy& pol : pols) {
       const ps::RunResult& r = results[i++];
-      audits_clean &=
-          r.staleness_violations == 0 && r.gate_wedge_ticks == 0;
+      audits_clean &= ps::counter(r, "dssp.staleness_violations") == 0 &&
+                      ps::counter(r, "dssp.gate_wedge_ticks") == 0;
       const std::vector<std::string> row = {
           reg.name,
           pol.name,
           Table::num(r.throughput, 2),
           Table::num(score(r), 2),
-          Table::num(r.mean_staleness_bound, 3),
-          std::to_string(r.final_staleness_bound),
-          std::to_string(r.staleness_raises),
-          std::to_string(r.staleness_decays),
-          std::to_string(r.dssp_gate_blocks),
-          std::to_string(r.staleness_violations),
-          std::to_string(r.gate_wedge_ticks)};
+          Table::num(r.metrics.at<obs::Gauge>("dssp.mean_bound").value(), 3),
+          std::to_string(static_cast<int>(
+              r.metrics.at<obs::Gauge>("dssp.final_bound").value())),
+          std::to_string(ps::counter(r, "dssp.raises")),
+          std::to_string(ps::counter(r, "dssp.decays")),
+          std::to_string(ps::counter(r, "dssp.gate_blocks")),
+          std::to_string(ps::counter(r, "dssp.staleness_violations")),
+          std::to_string(ps::counter(r, "dssp.gate_wedge_ticks"))};
       table.add_row(row);
       csv.row(row);
     }

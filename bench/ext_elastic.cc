@@ -146,18 +146,19 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const Point& p = grid[i];
     const ps::RunResult& r = results[i];
-    if (r.dual_primary_windows != 0) ++dual_violations;
+    const auto dual = ps::counter(r, "membership.dual_primary_windows");
+    if (dual != 0) ++dual_violations;
     const std::vector<std::string> row = {
         core::sync_method_name(p.method),
         scenario_name(p.scenario),
-        std::to_string(r.joins),
-        std::to_string(r.migrations),
-        Table::num(static_cast<double>(r.migrated_bytes) / 1e6, 2),
-        std::to_string(r.lease_renewals),
-        std::to_string(r.lease_expiries),
-        std::to_string(r.supersessions),
-        std::to_string(r.failovers),
-        std::to_string(r.dual_primary_windows),
+        std::to_string(ps::counter(r, "membership.joins")),
+        std::to_string(ps::counter(r, "membership.migrations")),
+        Table::num(ps::counter(r, "membership.migrated_bytes") / 1e6, 2),
+        std::to_string(ps::counter(r, "membership.lease_renewals")),
+        std::to_string(ps::counter(r, "membership.lease_expiries")),
+        std::to_string(ps::counter(r, "membership.supersessions")),
+        std::to_string(ps::counter(r, "recovery.failovers")),
+        std::to_string(dual),
         Table::num(r.throughput, 2)};
     table.add_row(row);
     csv.row(row);

@@ -36,9 +36,9 @@ ps::RunResult run_once(const model::Workload& workload, ps::ClusterConfig cfg,
 }
 
 double wire_overhead(const ps::RunResult& r) {
-  if (r.goodput_bytes <= 0) return 0.0;
+  if (ps::counter(r, "transport.goodput_bytes") <= 0) return 0.0;
   return static_cast<double>(r.wire_bytes) /
-         static_cast<double>(r.goodput_bytes);
+         static_cast<double>(ps::counter(r, "transport.goodput_bytes"));
 }
 
 /// Run one cluster per config, fanned across `threads` pool threads, with

@@ -180,18 +180,19 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const Point& p = grid[i];
     const ps::RunResult& r = results[i];
-    if (r.uplink_priority_inversions != 0) ++inversion_violations;
+    const auto inversions = ps::counter(r, "net.uplink_priority_inversions");
+    if (inversions != 0) ++inversion_violations;
     const std::vector<std::string> row = {
         core::sync_method_name(p.method),
         fabric_name(p.oversub),
         p.agg ? "on" : "off",
-        Table::num(static_cast<double>(r.tor_uplink_bytes) / (1024.0 * 1024.0),
+        Table::num(ps::counter(r, "net.tor_uplink_bytes") / (1024.0 * 1024.0),
                    1),
-        std::to_string(r.uplink_overtakes),
-        std::to_string(r.uplink_priority_inversions),
-        std::to_string(r.agg_combined_pushes),
-        std::to_string(r.agg_param_broadcasts),
-        std::to_string(r.agg_fallback_pushes),
+        std::to_string(ps::counter(r, "net.uplink_overtakes")),
+        std::to_string(inversions),
+        std::to_string(ps::counter(r, "hierarchy.agg_combined_pushes")),
+        std::to_string(ps::counter(r, "hierarchy.agg_param_broadcasts")),
+        std::to_string(ps::counter(r, "hierarchy.agg_fallback_pushes")),
         Table::num(r.throughput, 2)};
     table.add_row(row);
     csv.row(row);

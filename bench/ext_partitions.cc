@@ -170,21 +170,23 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const Point& p = grid[i];
     const ps::RunResult& r = results[i];
-    if (r.dual_primary_windows != 0) ++dual_violations;
-    if (r.cross_partition_deliveries != 0) ++xpart_violations;
+    const auto dual = ps::counter(r, "membership.dual_primary_windows");
+    const auto xpart = ps::counter(r, "net.cross_partition_deliveries");
+    if (dual != 0) ++dual_violations;
+    if (xpart != 0) ++xpart_violations;
     const std::vector<std::string> row = {
         core::sync_method_name(p.method),
         scenario_name(p.scenario),
         p.skew ? "on" : "off",
-        std::to_string(r.partition_drops),
-        std::to_string(r.parked_pushes),
-        std::to_string(r.quorum_denied_failovers),
-        std::to_string(r.failovers),
-        std::to_string(r.lease_expiries),
-        std::to_string(r.supersessions),
-        std::to_string(r.stale_pushes),
-        std::to_string(r.dual_primary_windows),
-        std::to_string(r.cross_partition_deliveries),
+        std::to_string(ps::counter(r, "net.partition_drops")),
+        std::to_string(ps::counter(r, "partition.parked_pushes")),
+        std::to_string(ps::counter(r, "partition.quorum_denied_failovers")),
+        std::to_string(ps::counter(r, "recovery.failovers")),
+        std::to_string(ps::counter(r, "membership.lease_expiries")),
+        std::to_string(ps::counter(r, "membership.supersessions")),
+        std::to_string(ps::counter(r, "recovery.stale_pushes")),
+        std::to_string(dual),
+        std::to_string(xpart),
         Table::num(r.throughput, 2)};
     table.add_row(row);
     csv.row(row);

@@ -98,6 +98,11 @@ struct Drill {
   void (*audit)(DrillContext&, std::vector<std::string>& problems);
 };
 
+/// A run's registry counter, as a printf %lld argument.
+long long count(const DrillContext& ctx, const char* metric) {
+  return static_cast<long long>(ps::counter(*ctx.run, metric));
+}
+
 void no_setup(DrillContext&) {}
 void no_audit(DrillContext&, std::vector<std::string>&) {}
 
@@ -168,22 +173,21 @@ void partition_setup(DrillContext& ctx) {
 }
 
 void partition_audit(DrillContext& ctx, std::vector<std::string>& problems) {
-  const ps::RunResult& run = *ctx.run;
   std::printf("partition: %lld severed drop(s), %lld parked push(es), "
               "%lld quorum-denied failover(s), %lld cross-partition "
               "delivery(ies), %lld dual-primary window(s)\n",
-              static_cast<long long>(run.partition_drops),
-              static_cast<long long>(run.parked_pushes),
-              static_cast<long long>(run.quorum_denied_failovers),
-              static_cast<long long>(run.cross_partition_deliveries),
+              count(ctx, "net.partition_drops"),
+              count(ctx, "partition.parked_pushes"),
+              count(ctx, "partition.quorum_denied_failovers"),
+              count(ctx, "net.cross_partition_deliveries"),
               static_cast<long long>(ctx.cluster->dual_primary_windows()));
   // The partition contract: the fabric delivers nothing across an active
   // cut, and quorum/fence gating keeps leadership single-headed even
   // while the views disagree.
-  if (run.cross_partition_deliveries > 0) {
+  if (count(ctx, "net.cross_partition_deliveries") > 0) {
     problems.push_back(
         "network.cross_partition_deliveries = " +
-        std::to_string(run.cross_partition_deliveries) +
+        std::to_string(count(ctx, "net.cross_partition_deliveries")) +
         " (a message landed across an active cut; expected 0)");
   }
 }
@@ -206,22 +210,22 @@ void hierarchy_setup(DrillContext& ctx) {
 }
 
 void hierarchy_audit(DrillContext& ctx, std::vector<std::string>& problems) {
-  const ps::RunResult& run = *ctx.run;
   std::printf("hierarchy: %.1f MiB over ToR uplinks, %lld overtake(s), "
               "%lld inversion(s), %lld combined push(es), %lld param "
               "re-broadcast(s), %lld fallback push(es)\n",
-              static_cast<double>(run.tor_uplink_bytes) / (1024.0 * 1024.0),
-              static_cast<long long>(run.uplink_overtakes),
-              static_cast<long long>(run.uplink_priority_inversions),
-              static_cast<long long>(run.agg_combined_pushes),
-              static_cast<long long>(run.agg_param_broadcasts),
-              static_cast<long long>(run.agg_fallback_pushes));
+              static_cast<double>(count(ctx, "net.tor_uplink_bytes")) /
+                  (1024.0 * 1024.0),
+              count(ctx, "net.uplink_overtakes"),
+              count(ctx, "net.uplink_priority_inversions"),
+              count(ctx, "hierarchy.agg_combined_pushes"),
+              count(ctx, "hierarchy.agg_param_broadcasts"),
+              count(ctx, "hierarchy.agg_fallback_pushes"));
   // The port contract: priority service never starts a transfer while a
   // strictly-more-urgent one waits.
-  if (run.uplink_priority_inversions > 0) {
+  if (count(ctx, "net.uplink_priority_inversions") > 0) {
     problems.push_back(
         "network.uplink_priority_inversions = " +
-        std::to_string(run.uplink_priority_inversions) +
+        std::to_string(count(ctx, "net.uplink_priority_inversions")) +
         " at priority-served switch ports (expected 0)");
   }
   audit_conservation(ctx, "aggregation", problems);
@@ -336,24 +340,25 @@ void dssp_audit(DrillContext& ctx, std::vector<std::string>& problems) {
   std::printf("dssp: %lld gate block(s), %lld raise(s), %lld decay(s), "
               "final bound %lld, mean wait %.6f s, %lld violation(s), "
               "%lld wedge tick(s)\n",
-              static_cast<long long>(run.dssp_gate_blocks),
-              static_cast<long long>(run.staleness_raises),
-              static_cast<long long>(run.staleness_decays),
-              static_cast<long long>(run.final_staleness_bound),
-              run.mean_gate_wait,
-              static_cast<long long>(run.staleness_violations),
-              static_cast<long long>(run.gate_wedge_ticks));
+              count(ctx, "dssp.gate_blocks"),
+              count(ctx, "dssp.raises"),
+              count(ctx, "dssp.decays"),
+              static_cast<long long>(
+                  run.metrics.at<obs::Gauge>("dssp.final_bound").value()),
+              run.metrics.at<obs::Histogram>("dssp.gate_wait_s").mean(),
+              count(ctx, "dssp.staleness_violations"),
+              count(ctx, "dssp.gate_wedge_ticks"));
   // Invariant 13 ground truth: no worker ever computed past the bound the
   // gate promised, and no fault plane wedged the gate.
-  if (run.staleness_violations > 0) {
+  if (count(ctx, "dssp.staleness_violations") > 0) {
     problems.push_back("dssp: staleness_violations = " +
-                       std::to_string(run.staleness_violations) +
+                       std::to_string(count(ctx, "dssp.staleness_violations")) +
                        " (a worker ran past the promised bound; "
                        "invariant 13)");
   }
-  if (run.gate_wedge_ticks > 0) {
+  if (count(ctx, "dssp.gate_wedge_ticks") > 0) {
     problems.push_back("dssp: gate_wedge_ticks = " +
-                       std::to_string(run.gate_wedge_ticks) +
+                       std::to_string(count(ctx, "dssp.gate_wedge_ticks")) +
                        " (every eligible worker stuck behind the floor "
                        "across consecutive audits; invariant 13)");
   }

@@ -4,6 +4,8 @@
 // hot paths are plain integer/double stores, exactly as cheap as the ad-hoc
 // member counters they replaced. The registry snapshots every instrument to
 // CSV or JSON in registration order, so sweep-point dumps diff cleanly.
+// Copying a registry takes a value snapshot: the copy owns its instruments
+// and does not follow later updates to the source.
 //
 // Deliberately not thread-safe: each Cluster owns its own Registry and runs
 // on one thread; `runner::ParallelExecutor` parallelism is across clusters.
@@ -11,7 +13,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -97,12 +101,9 @@ class Histogram {
 
 class Registry {
  public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
   /// Get-or-create by name. References stay valid for the registry's
-  /// lifetime. Re-requesting a name with a different instrument type throws.
+  /// lifetime (and refer to this registry, never to a copy of it).
+  /// Re-requesting a name with a different instrument type throws.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, std::vector<double> bounds);
@@ -111,6 +112,22 @@ class Registry {
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
+
+  /// Lookup of a metric that must exist: T is Counter, Gauge or Histogram.
+  /// Throws std::out_of_range on an unknown name or another instrument type,
+  /// so a misspelt metric fails loudly instead of reading 0.
+  template <typename T>
+  const T& at(const std::string& name) const {
+    const T* found = nullptr;
+    if constexpr (std::is_same_v<T, Counter>) found = find_counter(name);
+    if constexpr (std::is_same_v<T, Gauge>) found = find_gauge(name);
+    if constexpr (std::is_same_v<T, Histogram>) found = find_histogram(name);
+    if (found == nullptr) {
+      throw std::out_of_range("metric '" + name +
+                              "' is not registered with the requested type");
+    }
+    return *found;
+  }
 
   std::size_t size() const { return entries_.size(); }
 

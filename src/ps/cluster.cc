@@ -51,11 +51,32 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
       parked_pushes_(registry_.counter("partition.parked_pushes")),
       quorum_denied_failovers_(
           registry_.counter("partition.quorum_denied_failovers")),
+      agg_combined_pushes_(
+          registry_.counter("hierarchy.agg_combined_pushes")),
+      agg_param_broadcasts_(
+          registry_.counter("hierarchy.agg_param_broadcasts")),
+      agg_fallback_pushes_(
+          registry_.counter("hierarchy.agg_fallback_pushes")),
+      drains_started_(registry_.counter("scale.drains_started")),
+      drains_completed_(registry_.counter("scale.drains_completed")),
+      scale_decisions_(registry_.counter("scale.decisions")),
+      sheds_(registry_.counter("scale.sheds")),
+      slo_violation_ticks_(registry_.counter("scale.slo_violation_ticks")),
+      dssp_gate_blocks_(registry_.counter("dssp.gate_blocks")),
+      staleness_violations_(registry_.counter("dssp.staleness_violations")),
+      gate_wedge_ticks_(registry_.counter("dssp.gate_wedge_ticks")),
       iter_time_hist_(registry_.histogram(
           "worker.iteration_time_s",
           {0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0})),
       stall_time_hist_(registry_.histogram(
           "worker.stall_time_s",
+          {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0})),
+      rehydration_time_hist_(registry_.histogram(
+          "recovery.rehydration_time_s",
+          {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0})),
+      rejoin_lag_(registry_.gauge("recovery.rejoin_lag_s")),
+      dssp_wait_hist_(registry_.histogram(
+          "dssp.gate_wait_s",
           {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0})) {
   if (cfg_.n_workers <= 0) {
     throw std::invalid_argument("need at least one worker");
@@ -223,12 +244,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   }
   if (agg_on_) {
     agg_rounds_.resize(static_cast<std::size_t>(total_nodes()));
-    agg_combined_pushes_ =
-        &registry_.counter("hierarchy.agg_combined_pushes");
-    agg_param_broadcasts_ =
-        &registry_.counter("hierarchy.agg_param_broadcasts");
-    agg_fallback_pushes_ =
-        &registry_.counter("hierarchy.agg_fallback_pushes");
   }
 
   cfg_.faults.validate(cfg_.dedicated_servers ? 2 * cfg_.n_workers
@@ -393,8 +408,7 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
 
   // Voluntary drain + SLO-driven autoscaling: the scale plane arms only
   // when leaves are planned or the policy is enabled, so every
-  // fixed-membership run keeps the exact pre-autoscaler event sequence and
-  // registry contents.
+  // fixed-membership run keeps the exact pre-autoscaler event sequence.
   scale_plane_ = membership_on_ && (!cfg_.faults.leaves.empty() ||
                                     cfg_.autoscaler.enabled);
   if (scale_plane_) {
@@ -414,11 +428,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
       max_prio = std::max(max_prio, item_priority(s));
     }
     shed_cutoff_ = max_prio / 2 + 1;
-    drains_started_ = &registry_.counter("scale.drains_started");
-    drains_completed_ = &registry_.counter("scale.drains_completed");
-    scale_decisions_ = &registry_.counter("scale.decisions");
-    sheds_ = &registry_.counter("scale.sheds");
-    slo_violation_ticks_ = &registry_.counter("scale.slo_violation_ticks");
     if (cfg_.autoscaler.enabled) {
       AutoscalerConfig acfg = cfg_.autoscaler;
       if (acfg.queue_gauges.empty()) {
@@ -433,9 +442,9 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     }
   }
 
-  // DSSP bounded-staleness gate: state, controller and metrics exist only
-  // for the DSSP method, so every other method keeps the exact pre-DSSP
-  // event sequence and registry contents.
+  // DSSP bounded-staleness gate: state, controller and clock-gap gauges
+  // exist only for the DSSP method, so every other method keeps the exact
+  // pre-DSSP event sequence.
   if (dssp_on_) {
     staleness_ = std::make_unique<StalenessController>(cfg_.staleness);
     dssp_gate_ = std::make_unique<sim::VersionGate>(sim_);
@@ -443,12 +452,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     dssp_blocked_.assign(static_cast<std::size_t>(n_total_workers()), false);
     dssp_need_.assign(static_cast<std::size_t>(n_total_workers()), 0);
     dssp_future_.resize(static_cast<std::size_t>(n_total_servers()));
-    dssp_gate_blocks_ = &registry_.counter("dssp.gate_blocks");
-    staleness_violations_ = &registry_.counter("dssp.staleness_violations");
-    gate_wedge_ticks_ = &registry_.counter("dssp.gate_wedge_ticks");
-    dssp_wait_hist_ = &registry_.histogram(
-        "dssp.gate_wait_s",
-        {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0});
     for (int w = 0; w < n_total_workers(); ++w) {
       dssp_gap_gauge_.push_back(
           &registry_.gauge(lane("w", w, ".dssp_clock_gap")));
@@ -738,7 +741,7 @@ sim::Task Cluster::worker_loop(int w, std::int64_t start_iter) {
       const std::int64_t need = iter - s;
       const TimeS gate_t0 = sim_.now();
       if (need > dssp_gate_->version()) {
-        ++(*dssp_gate_blocks_);
+        ++dssp_gate_blocks_;
         dssp_blocked_[wn] = true;
         dssp_need_[wn] = need;
         co_await dssp_gate_->wait_for(need);
@@ -751,10 +754,8 @@ sim::Task Cluster::worker_loop(int w, std::int64_t start_iter) {
       const TimeS waited = sim_.now() - gate_t0;
       // Ground-truth bound audit: a fresh re-derivation of the floor must
       // cover what the gate just released (PROTOCOL.md inv. 13).
-      if (need > dssp_advance_gate()) ++(*staleness_violations_);
-      dssp_wait_hist_->observe(waited);
-      dssp_wait_sum_ += waited;
-      ++dssp_passages_;
+      if (need > dssp_advance_gate()) ++staleness_violations_;
+      dssp_wait_hist_.observe(waited);
       staleness_->observe(sim_.now(), waited);
       // The forward pass runs on parameters up to s rounds stale (the SSP
       // relaxation); capture the bound once so every layer of this
@@ -869,7 +870,7 @@ sim::Task Cluster::worker_sender(int w) {
       // per-worker cap keeps the merge exactly-once regardless).
       item.parked_at = sim_.now();
       shed_parked_[wn].push_back(item);
-      ++*sheds_;
+      ++sheds_;
       continue;
     }
     const auto& sl = partition_.slices[static_cast<std::size_t>(item.slice)];
@@ -909,10 +910,10 @@ sim::Task Cluster::worker_sender(int w) {
           m.kind = net::MsgKind::kRackPush;
           m.dst = agg;
         } else {
-          ++*agg_fallback_pushes_;
+          ++agg_fallback_pushes_;
         }
       } else {
-        ++*agg_fallback_pushes_;
+        ++agg_fallback_pushes_;
       }
     }
     if (partition_plane_ && m.dst != w && membership_[wn]->joined(m.dst) &&
@@ -1323,7 +1324,7 @@ void Cluster::enqueue_agg_push(int agg, std::int64_t slice,
     sendq_depth_changed(agg, +1);
     remaining -= item.payload;
   }
-  ++*agg_combined_pushes_;
+  ++agg_combined_pushes_;
 }
 
 void Cluster::send_rack_params(int server, std::int64_t slice) {
@@ -1399,7 +1400,7 @@ void Cluster::on_rack_params(int agg, const net::Message& m) {
         tracing() ? obs::make_trace_id(m.slice, m.version - 1, w) : -1;
     post_tracked(fwd);
     ++params_sent_;
-    ++*agg_param_broadcasts_;
+    ++agg_param_broadcasts_;
   }
   net::Message self = m;
   self.kind = net::MsgKind::kParams;
@@ -2139,7 +2140,7 @@ sim::Task Cluster::dssp_audit_loop() {
     }
     if (stuck_exists && !eligible_can_proceed) {
       ++consecutive_stuck;
-      if (consecutive_stuck >= kWedgeConfirmTicks) ++(*gate_wedge_ticks_);
+      if (consecutive_stuck >= kWedgeConfirmTicks) ++gate_wedge_ticks_;
     } else {
       consecutive_stuck = 0;
     }
@@ -2861,7 +2862,7 @@ sim::Task Cluster::server_rehydrate(int s, std::int64_t epoch) {
     if (all) break;
   }
   ++rehydrations_;
-  rehydration_time_sum_ += sim_.now() - t0;
+  rehydration_time_hist_.observe(sim_.now() - t0);
   if (tracing()) {
     tracer_->span(lane("n", server_node(s), ".ckpt"), t0, sim_.now(), "rehy");
   }
@@ -2930,7 +2931,7 @@ sim::Task Cluster::worker_rejoin(int w, std::int64_t epoch) {
     }
     if (!complete) continue;
     ++worker_rejoins_;
-    max_rejoin_lag_ = std::max(max_rejoin_lag_, sim_.now() - t0);
+    rejoin_lag_.set(sim_.now() - t0);
     mem_mark(w, "J");
     sim_.spawn(worker_loop(w, start_iter));
     co_return;
@@ -3101,7 +3102,7 @@ void Cluster::begin_drain(int node) {
   if (!ns.up || !ns.joined || ns.draining || ns.retired) return;
   ns.draining = true;
   ns.drain_since = sim_.now();
-  ++*drains_started_;
+  ++drains_started_;
   mem_mark(node, "D-");
   sim_.spawn(drain_loop(node, ns.epoch));
 }
@@ -3271,7 +3272,7 @@ void Cluster::retire_node(int node) {
   ns.up = false;
   ns.epoch += 1;
   ns.down_since = sim_.now();
-  ++*drains_completed_;
+  ++drains_completed_;
   mem_mark(node, "D+");
   if (tracing()) {
     tracer_->span(lane("n", node, ".mem"), ns.drain_since, sim_.now(),
@@ -3375,7 +3376,7 @@ sim::Task Cluster::autoscaler_loop() {
     const ScaleAction act = autoscaler_->tick(now, can_up, can_down);
     const std::int64_t v = autoscaler_->slo_violation_ticks();
     if (v > reported_violations) {
-      slo_violation_ticks_->inc(v - reported_violations);
+      slo_violation_ticks_.inc(v - reported_violations);
       reported_violations = v;
     }
     if (act == ScaleAction::kHold) continue;
@@ -3388,7 +3389,7 @@ sim::Task Cluster::autoscaler_loop() {
       // more. Hold until the flow window produces a completed iteration.
       continue;
     }
-    ++*scale_decisions_;
+    ++scale_decisions_;
     scale_decision_times_.push_back(now);
     switch (act) {
       case ScaleAction::kUp: {
@@ -3422,6 +3423,9 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
   if (started_) throw std::logic_error("Cluster::run is single-use");
   if (measured_iterations <= 0) {
     throw std::invalid_argument("need at least one measured iteration");
+  }
+  if (warmup_iterations < 0) {
+    throw std::invalid_argument("warmup iterations must be non-negative");
   }
   started_ = true;
   target_iterations_ = warmup_iterations + measured_iterations;
@@ -3512,77 +3516,6 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
     unshed_all();
   }
 
-  RunResult result;
-  result.iterations_measured = measured_iterations;
-  result.crashes = crashes_.value();
-  result.restarts = restarts_.value();
-  result.failovers = failovers_.value();
-  result.worker_rejoins = worker_rejoins_.value();
-  result.checkpoints_written = checkpoints_written_.value();
-  result.checkpoint_bytes = checkpoint_bytes_.value();
-  result.rehydrations = rehydrations_.value();
-  result.rehydration_bytes = rehydration_bytes_.value();
-  result.mean_rehydration_time =
-      rehydrations_.value() > 0
-          ? rehydration_time_sum_ / static_cast<double>(rehydrations_.value())
-          : 0.0;
-  result.max_rejoin_lag = max_rejoin_lag_;
-  result.heartbeats_sent = heartbeats_sent_.value();
-  result.stale_pushes = stale_pushes_.value();
-  result.joins = joins_.value();
-  result.migrations = migrations_.value();
-  result.migrated_bytes = migrated_bytes_.value();
-  result.lease_renewals = lease_renewals_.value();
-  result.lease_expiries = lease_expiries_.value();
-  result.dual_primary_windows = dual_primary_windows_.value();
-  result.supersessions = supersessions_.value();
-  result.partition_drops = faults_ ? faults_->partition_drops() : 0;
-  result.cross_partition_deliveries = net_->cross_partition_deliveries();
-  result.parked_pushes = parked_pushes_.value();
-  result.quorum_denied_failovers = quorum_denied_failovers_.value();
-  result.drains_started = drains_started();
-  result.drains_completed = drains_completed();
-  result.scale_decisions = scale_decisions();
-  result.sheds = sheds();
-  result.slo_violation_ticks = slo_violation_ticks();
-  result.scale_decision_times = scale_decision_times_;
-  result.uplink_overtakes = net_->uplink_overtakes();
-  result.uplink_priority_inversions = net_->uplink_priority_inversions();
-  result.tor_uplink_bytes = net_->tor_uplink_bytes();
-  result.agg_combined_pushes = agg_combined_pushes();
-  result.agg_param_broadcasts = agg_param_broadcasts();
-  result.agg_fallback_pushes = agg_fallback_pushes();
-  if (dssp_on_) {
-    result.dssp_gate_blocks = dssp_gate_blocks();
-    result.staleness_violations = staleness_violations();
-    result.gate_wedge_ticks = gate_wedge_ticks();
-    result.staleness_raises = staleness_->raises();
-    result.staleness_decays = staleness_->decays();
-    result.final_staleness_bound = staleness_->bound();
-    result.mean_gate_wait =
-        dssp_passages_ > 0
-            ? dssp_wait_sum_ / static_cast<double>(dssp_passages_)
-            : 0.0;
-  }
-  if (hierarchy_on_) {
-    // Per-tier link gauges: snapshot the switch-port stats into the registry
-    // so metrics dumps carry them next to the protocol counters.
-    for (int r = 0; r < net_->n_racks(); ++r) {
-      const auto rs = net_->rack_stats(r);
-      const std::string p = "topo.rack" + std::to_string(r);
-      registry_.gauge(p + ".uplink_bytes")
-          .set(static_cast<double>(rs.up_bytes));
-      registry_.gauge(p + ".downlink_bytes")
-          .set(static_cast<double>(rs.down_bytes));
-      registry_.gauge(p + ".uplink_peak_queue")
-          .set(static_cast<double>(rs.up_peak_queue));
-      registry_.gauge(p + ".downlink_peak_queue")
-          .set(static_cast<double>(rs.down_peak_queue));
-      registry_.gauge(p + ".uplink_busy_s").set(rs.up_busy);
-      registry_.gauge(p + ".downlink_busy_s").set(rs.down_busy);
-    }
-  }
-
   // Measurement window. Workers may have shorter (crashed early, joined
   // late, drained) or longer (restarted mid-run) histories, and under DSSP
   // a fast worker can finish a measured iteration before the slowest one
@@ -3614,6 +3547,8 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
       if (i < ws->iter_stall.size()) stall_sum += ws->iter_stall[i];
     }
   }
+  RunResult result;
+  result.iterations_measured = measured_iterations;
   result.total_time = end;
   const double samples = static_cast<double>(measured_iters) *
                          workload_.batch_per_worker;
@@ -3634,17 +3569,47 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
     result.mean_stall_time =
         stall_sum / static_cast<double>(measured_iters);
   }
-  if (dssp_on_) {
-    // Time-weighted mean of the adapted bound — denominator of the
-    // ext_dssp score, so adaptive runs pay for the slack they held.
-    result.mean_staleness_bound = staleness_->mean_bound(result.total_time);
-  }
-  result.messages_dropped = net_->messages_dropped();
-  result.retransmits = retransmits_.value();
-  result.timeouts_fired = timeouts_fired_.value();
-  result.duplicates_suppressed = duplicates_suppressed_.value();
-  result.goodput_bytes = goodput_bytes_.value();
   result.wire_bytes = net_->bytes_posted();
+  result.scale_decision_times = scale_decision_times_;
+
+  // Counts owned by the fabric, the fault injector and the DSSP controller,
+  // snapshotted next to the protocol counters so the RunResult's registry
+  // copy is the one place a run's numbers are read from.
+  registry_.counter("net.messages_dropped").inc(net_->messages_dropped());
+  registry_.counter("net.partition_drops")
+      .inc(faults_ ? faults_->partition_drops() : 0);
+  registry_.counter("net.cross_partition_deliveries")
+      .inc(net_->cross_partition_deliveries());
+  registry_.counter("net.uplink_overtakes").inc(net_->uplink_overtakes());
+  registry_.counter("net.uplink_priority_inversions")
+      .inc(net_->uplink_priority_inversions());
+  registry_.counter("net.tor_uplink_bytes").inc(net_->tor_uplink_bytes());
+  registry_.counter("dssp.raises").inc(dssp_on_ ? staleness_->raises() : 0);
+  registry_.counter("dssp.decays").inc(dssp_on_ ? staleness_->decays() : 0);
+  registry_.gauge("dssp.final_bound").set(staleness_bound());
+  // Time-weighted mean of the adapted bound — denominator of the ext_dssp
+  // score, so adaptive runs pay for the slack they held.
+  registry_.gauge("dssp.mean_bound")
+      .set(dssp_on_ ? staleness_->mean_bound(end) : 0.0);
+  if (hierarchy_on_) {
+    // Per-tier link gauges: snapshot the switch-port stats into the registry
+    // so metrics dumps carry them next to the protocol counters.
+    for (int r = 0; r < net_->n_racks(); ++r) {
+      const auto rs = net_->rack_stats(r);
+      const std::string p = "topo.rack" + std::to_string(r);
+      registry_.gauge(p + ".uplink_bytes")
+          .set(static_cast<double>(rs.up_bytes));
+      registry_.gauge(p + ".downlink_bytes")
+          .set(static_cast<double>(rs.down_bytes));
+      registry_.gauge(p + ".uplink_peak_queue")
+          .set(static_cast<double>(rs.up_peak_queue));
+      registry_.gauge(p + ".downlink_peak_queue")
+          .set(static_cast<double>(rs.down_peak_queue));
+      registry_.gauge(p + ".uplink_busy_s").set(rs.up_busy);
+      registry_.gauge(p + ".downlink_busy_s").set(rs.down_busy);
+    }
+  }
+  result.metrics = registry_;
   return result;
 }
 

@@ -54,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -229,94 +230,22 @@ struct RunResult {
   TimeS total_time = 0;           ///< simulated time at measurement end
   int iterations_measured = 0;
   std::vector<TimeS> iteration_times;  ///< worker 0, measured window
-
-  // Degradation observability (all zero on a fault-free run).
-  std::int64_t messages_dropped = 0;      ///< lost to injected faults
-  std::int64_t retransmits = 0;           ///< copies re-posted after timeout
-  std::int64_t timeouts_fired = 0;        ///< retransmission timer expiries
-  std::int64_t duplicates_suppressed = 0; ///< deliveries deduped by msg id
-  /// Unique protocol bytes accepted by receivers (dedup survivors).
-  Bytes goodput_bytes = 0;
   /// Everything posted on the wire: originals + retransmits + acks.
   Bytes wire_bytes = 0;
-
-  // Recovery observability (all zero without a membership plane).
-  std::int64_t crashes = 0;            ///< node crash events executed
-  std::int64_t restarts = 0;           ///< node restart events executed
-  std::int64_t failovers = 0;          ///< shard leadership takeovers
-  std::int64_t worker_rejoins = 0;     ///< completed worker rejoin handshakes
-  std::int64_t checkpoints_written = 0;
-  Bytes checkpoint_bytes = 0;          ///< total bytes written to "disk"
-  std::int64_t rehydrations = 0;       ///< completed server rehydrations
-  Bytes rehydration_bytes = 0;         ///< delta-sync payload bytes pulled
-  TimeS mean_rehydration_time = 0;     ///< restart -> serving again
-  TimeS max_rejoin_lag = 0;            ///< worst restart -> rejoined delay
-  std::int64_t heartbeats_sent = 0;
-  std::int64_t stale_pushes = 0;       ///< re-pushes answered with params
-
-  // Elastic scale-out + lease observability (all zero without joins/leases).
-  std::int64_t joins = 0;              ///< node admissions executed
-  std::int64_t migrations = 0;         ///< shard groups handed to joiners
-  Bytes migrated_bytes = 0;            ///< shard-state payload migrated
-  std::int64_t lease_renewals = 0;     ///< beacon-driven lease extensions
-  std::int64_t lease_expiries = 0;     ///< primary self-fences (lease lost)
-  /// Times a server started acting as primary of a group while another
-  /// server was still acting on the same group. > 0 is the split-view
-  /// window suspicion-timeout failover allows; must be 0 under leases.
-  std::int64_t dual_primary_windows = 0;
-  std::int64_t supersessions = 0;      ///< immediate incarnation handovers
-
-  // Partition tolerance observability (all zero without partitions).
-  std::int64_t partition_drops = 0;    ///< messages severed by an active cut
-  /// Ground-truth audit: deliveries that landed while a cut severed their
-  /// link. The fabric drops severed traffic, so this must stay 0.
-  std::int64_t cross_partition_deliveries = 0;
-  /// Pushes a worker parked instead of sending because its view holds the
-  /// destination dead (drained back into the send queue on revival).
-  std::int64_t parked_pushes = 0;
-  /// Expired-lease failovers an observer wanted to fire but could not: its
-  /// view lacked a quorum of joined members (minority-side denial).
-  std::int64_t quorum_denied_failovers = 0;
-
-  // Rack-scale hierarchy observability (all zero on a flat topology).
-  /// Switch-port services that let a later high-priority transfer pass a
-  /// queued lower-priority one (the P3 overtake at the ToR uplink).
-  std::int64_t uplink_overtakes = 0;
-  /// Services started while a strictly-higher-priority transfer waited —
-  /// zero under priority ports, meaningful under the FIFO-port ablation.
-  std::int64_t uplink_priority_inversions = 0;
-  Bytes tor_uplink_bytes = 0;          ///< bytes that crossed any ToR uplink
-  std::int64_t agg_combined_pushes = 0;   ///< rack pre-reductions forwarded
-  std::int64_t agg_param_broadcasts = 0;  ///< params re-broadcast by aggs
-  /// Pushes that bypassed the aggregator (recovery re-pushes, or the
-  /// aggregator was dead/unreachable in the sender's view).
-  std::int64_t agg_fallback_pushes = 0;
-
-  // Autoscaler / voluntary-drain observability (all zero without the scale
-  // plane).
-  std::int64_t drains_started = 0;     ///< nodes that entered draining mode
-  std::int64_t drains_completed = 0;   ///< nodes that retired cleanly
-  std::int64_t scale_decisions = 0;    ///< autoscaler admissions + drains
-  std::int64_t sheds = 0;              ///< pushes parked by overload shedding
-  std::int64_t slo_violation_ticks = 0; ///< control ticks with p99 > SLO
   /// Sim times of the autoscaler's scale decisions, for flap auditing
   /// (consecutive entries must be >= cooldown apart).
   std::vector<TimeS> scale_decision_times;
-
-  // DSSP staleness-gate observability (all zero unless method == kDSSP).
-  std::int64_t dssp_gate_blocks = 0;   ///< gate passages that actually waited
-  /// Ground-truth audits (PROTOCOL.md inv. 13); both must stay 0.
-  std::int64_t staleness_violations = 0; ///< releases past the true min-clock
-  std::int64_t gate_wedge_ticks = 0;     ///< audit ticks with no eligible
-                                         ///< worker able to proceed
-  std::int64_t staleness_raises = 0;   ///< controller bound increments
-  std::int64_t staleness_decays = 0;   ///< controller bound decrements
-  int final_staleness_bound = 0;       ///< bound when the run ended
-  /// Time-weighted mean of the active bound — the staleness cost actually
-  /// incurred (ext_dssp's scoring denominator).
-  double mean_staleness_bound = 0.0;
-  TimeS mean_gate_wait = 0;            ///< mean wait per gate passage
+  /// Snapshot of Cluster::metrics() when the measured window closes: every
+  /// protocol, fault, membership, hierarchy, scale and DSSP counter (see
+  /// docs/OBSERVABILITY.md for the catalogue). Read with `metrics.at<T>()`
+  /// or counter().
+  obs::Registry metrics;
 };
+
+/// Shorthand for `r.metrics.at<obs::Counter>(name).value()`.
+inline std::int64_t counter(const RunResult& r, const std::string& name) {
+  return r.metrics.at<obs::Counter>(name).value();
+}
 
 class Cluster {
  public:
@@ -417,14 +346,13 @@ class Cluster {
   bool hierarchy_armed() const { return hierarchy_on_; }
   bool rack_aggregation_armed() const { return agg_on_; }
   std::int64_t agg_combined_pushes() const {
-    return agg_combined_pushes_ != nullptr ? agg_combined_pushes_->value() : 0;
+    return agg_combined_pushes_.value();
   }
   std::int64_t agg_param_broadcasts() const {
-    return agg_param_broadcasts_ != nullptr ? agg_param_broadcasts_->value()
-                                            : 0;
+    return agg_param_broadcasts_.value();
   }
   std::int64_t agg_fallback_pushes() const {
-    return agg_fallback_pushes_ != nullptr ? agg_fallback_pushes_->value() : 0;
+    return agg_fallback_pushes_.value();
   }
   // Autoscaler / drain introspection (zero/false while disarmed).
   bool scale_plane_armed() const { return scale_plane_; }
@@ -434,21 +362,12 @@ class Cluster {
   bool node_retired(int node) const {
     return node_state_[static_cast<std::size_t>(node)].retired;
   }
-  std::int64_t drains_started() const {
-    return drains_started_ != nullptr ? drains_started_->value() : 0;
-  }
-  std::int64_t drains_completed() const {
-    return drains_completed_ != nullptr ? drains_completed_->value() : 0;
-  }
-  std::int64_t scale_decisions() const {
-    return scale_decisions_ != nullptr ? scale_decisions_->value() : 0;
-  }
-  std::int64_t sheds() const {
-    return sheds_ != nullptr ? sheds_->value() : 0;
-  }
+  std::int64_t drains_started() const { return drains_started_.value(); }
+  std::int64_t drains_completed() const { return drains_completed_.value(); }
+  std::int64_t scale_decisions() const { return scale_decisions_.value(); }
+  std::int64_t sheds() const { return sheds_.value(); }
   std::int64_t slo_violation_ticks() const {
-    return slo_violation_ticks_ != nullptr ? slo_violation_ticks_->value()
-                                           : 0;
+    return slo_violation_ticks_.value();
   }
   const std::vector<TimeS>& scale_decision_times() const {
     return scale_decision_times_;
@@ -456,15 +375,10 @@ class Cluster {
   // DSSP staleness-gate introspection (zero/false unless method == kDSSP).
   bool dssp_armed() const { return dssp_on_; }
   std::int64_t staleness_violations() const {
-    return staleness_violations_ != nullptr ? staleness_violations_->value()
-                                            : 0;
+    return staleness_violations_.value();
   }
-  std::int64_t gate_wedge_ticks() const {
-    return gate_wedge_ticks_ != nullptr ? gate_wedge_ticks_->value() : 0;
-  }
-  std::int64_t dssp_gate_blocks() const {
-    return dssp_gate_blocks_ != nullptr ? dssp_gate_blocks_->value() : 0;
-  }
+  std::int64_t gate_wedge_ticks() const { return gate_wedge_ticks_.value(); }
+  std::int64_t dssp_gate_blocks() const { return dssp_gate_blocks_.value(); }
   /// Current adaptive bound (s_min when DSSP is disarmed).
   int staleness_bound() const {
     return staleness_ != nullptr ? staleness_->bound() : 0;
@@ -954,8 +868,22 @@ class Cluster {
   obs::Counter& supersessions_;
   obs::Counter& parked_pushes_;
   obs::Counter& quorum_denied_failovers_;
+  obs::Counter& agg_combined_pushes_;   ///< rack pre-reductions forwarded
+  obs::Counter& agg_param_broadcasts_;  ///< params re-broadcast by aggs
+  obs::Counter& agg_fallback_pushes_;   ///< pushes that bypassed the agg
+  obs::Counter& drains_started_;
+  obs::Counter& drains_completed_;
+  obs::Counter& scale_decisions_;
+  obs::Counter& sheds_;
+  obs::Counter& slo_violation_ticks_;
+  obs::Counter& dssp_gate_blocks_;
+  obs::Counter& staleness_violations_;
+  obs::Counter& gate_wedge_ticks_;
   obs::Histogram& iter_time_hist_;
   obs::Histogram& stall_time_hist_;
+  obs::Histogram& rehydration_time_hist_;  ///< restart -> serving again
+  obs::Gauge& rejoin_lag_;                 ///< max(): worst rejoin delay
+  obs::Histogram& dssp_wait_hist_;         ///< wait per gate passage
 
   bool reliable_ = false;
   std::int64_t next_msg_id_ = 0;
@@ -977,8 +905,6 @@ class Cluster {
   std::unordered_map<std::int64_t, std::int64_t> replicate_wait_;  // msg->key
   std::unordered_map<std::int64_t, CommitState> commits_;  // key -> barrier
   std::vector<std::vector<std::int64_t>> ckpt_versions_;   // per server "disk"
-  double rehydration_time_sum_ = 0.0;
-  TimeS max_rejoin_lag_ = 0.0;
 
   // Elastic scale-out + lease-based leadership (inert unless armed).
   bool leases_on_ = false;
@@ -1037,11 +963,6 @@ class Cluster {
       agg_rounds_;
   std::unordered_map<std::int64_t, AggCover> agg_cover_;
   std::int64_t next_agg_id_ = 0;
-  // Registered only while aggregation is armed, so flat runs keep the exact
-  // pre-hierarchy registry contents.
-  obs::Counter* agg_combined_pushes_ = nullptr;
-  obs::Counter* agg_param_broadcasts_ = nullptr;
-  obs::Counter* agg_fallback_pushes_ = nullptr;
 
   // Voluntary drain + autoscaling (inert unless armed: planned leaves or an
   // enabled autoscaler).
@@ -1074,13 +995,6 @@ class Cluster {
   /// (slower rounds -> higher p99 -> more shedding). -1 = never shed.
   std::int64_t unshed_iter_count_ = -1;
   std::vector<TimeS> scale_decision_times_;
-  // Registered only while the scale plane is armed, so fixed-membership
-  // runs keep the exact pre-autoscaler registry contents.
-  obs::Counter* drains_started_ = nullptr;
-  obs::Counter* drains_completed_ = nullptr;
-  obs::Counter* scale_decisions_ = nullptr;
-  obs::Counter* sheds_ = nullptr;
-  obs::Counter* slo_violation_ticks_ = nullptr;
 
   // DSSP dynamic bounded-staleness gate (inert unless method == kDSSP).
   bool dssp_on_ = false;
@@ -1104,14 +1018,6 @@ class Cluster {
   std::vector<std::map<std::pair<std::int64_t, std::int64_t>,
                        std::map<int, Bytes>>>
       dssp_future_;
-  double dssp_wait_sum_ = 0.0;
-  std::int64_t dssp_passages_ = 0;
-  // Registered only while DSSP is armed, so every other method keeps the
-  // exact pre-DSSP registry contents.
-  obs::Counter* dssp_gate_blocks_ = nullptr;
-  obs::Counter* staleness_violations_ = nullptr;
-  obs::Counter* gate_wedge_ticks_ = nullptr;
-  obs::Histogram* dssp_wait_hist_ = nullptr;
   std::vector<obs::Gauge*> dssp_gap_gauge_;  ///< per worker: clock - floor
 };
 

@@ -156,6 +156,39 @@ TEST(Registry, FindWithoutCreation) {
   EXPECT_EQ(r.find_gauge("c"), nullptr);  // wrong type
 }
 
+TEST(Registry, AtThrowsOnUnknownNameOrWrongType) {
+  Registry r;
+  r.counter("c");
+  r.gauge("g");
+  EXPECT_THROW(r.at<Counter>("nope"), std::out_of_range);
+  EXPECT_THROW(r.at<Gauge>("c"), std::out_of_range);
+  EXPECT_THROW(r.at<Histogram>("c"), std::out_of_range);
+  EXPECT_THROW(r.at<Counter>("g"), std::out_of_range);
+}
+
+TEST(Registry, CopyIsAValueSnapshot) {
+  Registry source;
+  Counter& c = source.counter("c");
+  Gauge& g = source.gauge("g");
+  Histogram& h = source.histogram("h", {1.0});
+  c.inc(3);
+  g.set(4.0);
+  h.observe(0.5);
+  const Registry copy = source;
+  c.inc(10);
+  g.set(9.0);
+  h.observe(2.0);
+  source.counter("added_later");
+  EXPECT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy.at<Counter>("c").value(), 3);
+  EXPECT_DOUBLE_EQ(copy.at<Gauge>("g").value(), 4.0);
+  EXPECT_DOUBLE_EQ(copy.at<Gauge>("g").max(), 4.0);
+  EXPECT_EQ(copy.at<Histogram>("h").count(), 1);
+  EXPECT_DOUBLE_EQ(copy.at<Histogram>("h").sum(), 0.5);
+  EXPECT_EQ(copy.find_counter("added_later"), nullptr);
+  EXPECT_EQ(source.at<Counter>("c").value(), 13);
+}
+
 TEST(Registry, SnapshotPreservesRegistrationOrder) {
   Registry r;
   r.counter("z.second");

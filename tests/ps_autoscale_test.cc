@@ -11,8 +11,10 @@
 
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "metrics_equal.h"
 #include "model/zoo.h"
 #include "ps/cluster.h"
 #include "runner/parallel.h"
@@ -327,12 +329,13 @@ TEST_P(VoluntaryDrain, LeaveMigratesGroupsAndRetiresCleanly) {
   cluster.drain();
 
   EXPECT_TRUE(cluster.scale_plane_armed());
-  EXPECT_EQ(result.joins, 1);
-  EXPECT_EQ(result.drains_started, 1);
-  EXPECT_EQ(result.drains_completed, 1);
-  EXPECT_EQ(result.crashes, 0);
-  EXPECT_EQ(result.failovers, 0);  // the drain is planned, not a failure
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 1);
+  EXPECT_EQ(counter(result, "scale.drains_started"), 1);
+  EXPECT_EQ(counter(result, "scale.drains_completed"), 1);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 0);
+  // The drain is planned, not a failure.
+  EXPECT_EQ(counter(result, "recovery.failovers"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_retired_everywhere(cluster, 1, 5, 4);
   // The survivors and the joiner all reached the target with every slice
   // applied exactly once (a double-applied migrated contribution would
@@ -360,8 +363,8 @@ TEST(VoluntaryDrainChaos, DrainFallsBackToHomeChainReplicas) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.drains_completed, 1);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "scale.drains_completed"), 1);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_retired_everywhere(cluster, 1, 4, 4);
   // Group 1's home chain is {1, 2}: the group must have landed on 2.
   for (int n = 0; n < 4; ++n) {
@@ -390,13 +393,13 @@ TEST(VoluntaryDrainChaos, CrashMidDrainFallsBackToFailover) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.drains_started, 1);
-  EXPECT_EQ(result.drains_completed, 0);  // the drain never finished
+  EXPECT_EQ(counter(result, "scale.drains_started"), 1);
+  EXPECT_EQ(counter(result, "scale.drains_completed"), 0);  // never finished
   EXPECT_FALSE(cluster.node_retired(1));
   EXPECT_FALSE(cluster.node_draining(1));
-  EXPECT_EQ(result.crashes, 1);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
   // Whatever the drain had not yet migrated failed over the normal way.
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_converged(cluster, 4, iterations, {0, 2, 3});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -424,10 +427,11 @@ TEST(VoluntaryDrainChaos, DrainDuringPartitionParksThenHealsExactlyOnce) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.drains_completed, 1);
-  EXPECT_GT(result.parked_pushes, 0);  // the severed worker parked pushes
-  EXPECT_EQ(result.cross_partition_deliveries, 0);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "scale.drains_completed"), 1);
+  // The severed worker parked pushes.
+  EXPECT_GT(counter(result, "partition.parked_pushes"), 0);
+  EXPECT_EQ(counter(result, "net.cross_partition_deliveries"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_retired_everywhere(cluster, 1, 5, 4);
   expect_converged(cluster, 4, iterations, {0, 2, 3, 4});
   EXPECT_TRUE(cluster.simulator().idle());
@@ -455,10 +459,10 @@ TEST(AutoscalerEndToEnd, TightSloAdmitsStandbyThenShedsFlapFree) {
   cluster.drain();
 
   EXPECT_TRUE(cluster.scale_plane_armed());
-  EXPECT_EQ(result.joins, 1);  // the standby was admitted
-  EXPECT_GE(result.scale_decisions, 2);  // ...then shedding took over
-  EXPECT_GT(result.sheds, 0);
-  EXPECT_GT(result.slo_violation_ticks, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 1);  // standby admitted...
+  EXPECT_GE(counter(result, "scale.decisions"), 2);   // ...then shedding
+  EXPECT_GT(counter(result, "scale.sheds"), 0);
+  EXPECT_GT(counter(result, "scale.slo_violation_ticks"), 0);
   ASSERT_GE(result.scale_decision_times.size(), 2u);
   for (std::size_t i = 1; i < result.scale_decision_times.size(); ++i) {
     EXPECT_GE(result.scale_decision_times[i] -
@@ -466,7 +470,7 @@ TEST(AutoscalerEndToEnd, TightSloAdmitsStandbyThenShedsFlapFree) {
               cfg.autoscaler.cooldown)
         << "decisions " << i - 1 << " and " << i << " flapped";
   }
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   // Shedding delays contributions, never drops them: exactly-once holds.
   expect_converged(cluster, 4, iterations, {0, 1, 2, 3, 4});
   EXPECT_TRUE(cluster.simulator().idle());
@@ -487,10 +491,10 @@ TEST(AutoscalerEndToEnd, LooseSloDrainsTheSurplusJoiner) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_GE(result.scale_decisions, 1);
-  EXPECT_EQ(result.drains_started, 1);
-  EXPECT_EQ(result.drains_completed, 1);
-  EXPECT_EQ(result.slo_violation_ticks, 0);
+  EXPECT_GE(counter(result, "scale.decisions"), 1);
+  EXPECT_EQ(counter(result, "scale.drains_started"), 1);
+  EXPECT_EQ(counter(result, "scale.drains_completed"), 1);
+  EXPECT_EQ(counter(result, "scale.slo_violation_ticks"), 0);
   expect_retired_everywhere(cluster, 4, 5, 4);
   expect_converged(cluster, 4, iterations, {0, 1, 2, 3});
   EXPECT_TRUE(cluster.simulator().idle());
@@ -498,8 +502,7 @@ TEST(AutoscalerEndToEnd, LooseSloDrainsTheSurplusJoiner) {
 
 // ---------------------------------------------------------------------------
 // Satellite (f) guard: with no leaves and no autoscaler the scale plane
-// stays dark — no scale metrics registered, no drain state, zero result
-// deltas from the plane.
+// stays dark — every scale metric reads 0, no drain state.
 // ---------------------------------------------------------------------------
 
 TEST(ScalePlane, StaysInertWithoutLeavesOrAutoscaler) {
@@ -509,11 +512,9 @@ TEST(ScalePlane, StaysInertWithoutLeavesOrAutoscaler) {
   const auto result = cluster.run(1, 5);
   cluster.drain();
   EXPECT_FALSE(cluster.scale_plane_armed());
-  EXPECT_EQ(cluster.metrics().find_counter("scale.drains_started"), nullptr);
-  EXPECT_EQ(cluster.metrics().find_counter("scale.decisions"), nullptr);
-  EXPECT_EQ(result.drains_started, 0);
-  EXPECT_EQ(result.scale_decisions, 0);
-  EXPECT_EQ(result.sheds, 0);
+  EXPECT_EQ(counter(result, "scale.drains_started"), 0);
+  EXPECT_EQ(counter(result, "scale.decisions"), 0);
+  EXPECT_EQ(counter(result, "scale.sheds"), 0);
   EXPECT_TRUE(result.scale_decision_times.empty());
 }
 
@@ -590,20 +591,10 @@ TEST(ScalePlane, AutoscaledRunsBitIdenticalAcrossRunnerThreads) {
       EXPECT_EQ(a.throughput, b.throughput) << "point " << i;
       EXPECT_EQ(a.total_time, b.total_time) << "point " << i;
       EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "point " << i;
-      EXPECT_EQ(a.goodput_bytes, b.goodput_bytes) << "point " << i;
-      EXPECT_EQ(a.joins, b.joins) << "point " << i;
-      EXPECT_EQ(a.migrations, b.migrations) << "point " << i;
-      EXPECT_EQ(a.migrated_bytes, b.migrated_bytes) << "point " << i;
-      EXPECT_EQ(a.drains_started, b.drains_started) << "point " << i;
-      EXPECT_EQ(a.drains_completed, b.drains_completed) << "point " << i;
-      EXPECT_EQ(a.scale_decisions, b.scale_decisions) << "point " << i;
-      EXPECT_EQ(a.sheds, b.sheds) << "point " << i;
-      EXPECT_EQ(a.slo_violation_ticks, b.slo_violation_ticks)
-          << "point " << i;
       EXPECT_EQ(a.scale_decision_times, b.scale_decision_times)
           << "point " << i;
-      EXPECT_EQ(a.dual_primary_windows, b.dual_primary_windows)
-          << "point " << i;
+      obs::expect_same_metrics(a.metrics, b.metrics,
+                               "point " + std::to_string(i));
     }
   }
 }

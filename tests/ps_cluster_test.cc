@@ -251,6 +251,17 @@ TEST(ClusterProtocol, RunIsSingleUse) {
   EXPECT_THROW(cluster.run(0, 1), std::logic_error);
 }
 
+TEST(ClusterProtocol, RejectsBadIterationCounts) {
+  {
+    Cluster cluster(small_workload(), small_config(SyncMethod::kP3));
+    EXPECT_THROW(cluster.run(1, 0), std::invalid_argument);
+  }
+  {
+    Cluster cluster(small_workload(), small_config(SyncMethod::kP3));
+    EXPECT_THROW(cluster.run(-1, 2), std::invalid_argument);
+  }
+}
+
 TEST(ClusterProtocol, ComputeOverrideRequiresMatchingSizes) {
   ClusterConfig cfg = small_config(SyncMethod::kP3);
   cfg.fwd_times = {0.1};  // model has 4 layers

@@ -82,10 +82,10 @@ TEST_P(CrashFailover, PermanentCrashWithReplicaConverges) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_EQ(result.restarts, 0);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_EQ(counter(result, "recovery.restarts"), 0);
   // Server 3's groups must have moved to the next live chain replica.
-  EXPECT_GE(result.failovers, 1);
+  EXPECT_GE(counter(result, "recovery.failovers"), 1);
   expect_recovered(cluster, 4, iterations, {0, 1, 2});
   // The dead node's NIC went silent: survivors' views agree it is gone.
   for (int n = 0; n < 3; ++n) {
@@ -93,7 +93,7 @@ TEST_P(CrashFailover, PermanentCrashWithReplicaConverges) {
   }
   EXPECT_TRUE(cluster.simulator().idle());
   EXPECT_EQ(cluster.reliable_in_flight(), 0);
-  EXPECT_GT(result.heartbeats_sent, 0);
+  EXPECT_GT(counter(result, "recovery.heartbeats_sent"), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, CrashFailover,
@@ -119,11 +119,11 @@ TEST(CrashRecovery, WorkerRejoinsAfterRestart) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_EQ(result.restarts, 1);
-  EXPECT_EQ(result.worker_rejoins, 1);
-  EXPECT_EQ(result.failovers, 0);  // no server was lost
-  EXPECT_GT(result.max_rejoin_lag, 0.0);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_EQ(counter(result, "recovery.restarts"), 1);
+  EXPECT_EQ(counter(result, "recovery.worker_rejoins"), 1);
+  EXPECT_EQ(counter(result, "recovery.failovers"), 0);  // no server was lost
+  EXPECT_GT(result.metrics.at<obs::Gauge>("recovery.rejoin_lag_s").max(), 0.0);
   // The rejoined worker completed the run too: all four gates closed at the
   // target, and every shard applied exactly `iterations` rounds.
   expect_recovered(cluster, 4, iterations, {0, 1, 2, 3});
@@ -150,13 +150,15 @@ TEST(CrashRecovery, ServerRehydratesFromCheckpointAndLeaderDelta) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_EQ(result.restarts, 1);
-  EXPECT_EQ(result.rehydrations, 1);
-  EXPECT_EQ(result.worker_rejoins, 1);
-  EXPECT_GE(result.checkpoints_written, 1);
-  EXPECT_GT(result.checkpoint_bytes, 0);
-  EXPECT_GT(result.mean_rehydration_time, 0.0);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_EQ(counter(result, "recovery.restarts"), 1);
+  EXPECT_EQ(counter(result, "recovery.rehydrations"), 1);
+  EXPECT_EQ(counter(result, "recovery.worker_rejoins"), 1);
+  EXPECT_GE(counter(result, "recovery.checkpoints_written"), 1);
+  EXPECT_GT(counter(result, "recovery.checkpoint_bytes"), 0);
+  EXPECT_GT(
+      result.metrics.at<obs::Histogram>("recovery.rehydration_time_s").mean(),
+      0.0);
   expect_recovered(cluster, 4, iterations, {0, 1, 2, 3});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -230,13 +232,13 @@ TEST(CrashRecovery, CrashSweepBitIdenticalAcrossRunnerThreads) {
       EXPECT_EQ(a.throughput, b.throughput) << "point " << i;
       EXPECT_EQ(a.total_time, b.total_time) << "point " << i;
       EXPECT_EQ(a.mean_iteration_time, b.mean_iteration_time) << "point " << i;
-      EXPECT_EQ(a.failovers, b.failovers) << "point " << i;
-      EXPECT_EQ(a.retransmits, b.retransmits) << "point " << i;
+      for (const char* m :
+           {"recovery.failovers", "transport.retransmits",
+            "transport.goodput_bytes", "recovery.heartbeats_sent",
+            "recovery.worker_rejoins", "recovery.rehydrations"}) {
+        EXPECT_EQ(counter(a, m), counter(b, m)) << "point " << i << " " << m;
+      }
       EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "point " << i;
-      EXPECT_EQ(a.goodput_bytes, b.goodput_bytes) << "point " << i;
-      EXPECT_EQ(a.heartbeats_sent, b.heartbeats_sent) << "point " << i;
-      EXPECT_EQ(a.worker_rejoins, b.worker_rejoins) << "point " << i;
-      EXPECT_EQ(a.rehydrations, b.rehydrations) << "point " << i;
     }
   }
 }
@@ -255,8 +257,8 @@ TEST(CrashRecovery, DisarmedPlaneIsBitIdenticalToPlainEngine) {
     auto r = cluster.run(1, 3);
     cluster.drain();
     EXPECT_FALSE(cluster.membership_armed());
-    EXPECT_EQ(r.heartbeats_sent, 0);
-    EXPECT_EQ(r.failovers, 0);
+    EXPECT_EQ(counter(r, "recovery.heartbeats_sent"), 0);
+    EXPECT_EQ(counter(r, "recovery.failovers"), 0);
     return r.total_time;
   };
   // Loss plans alone (PR 1 behaviour) keep the plane disarmed; two

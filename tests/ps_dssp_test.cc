@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "metrics_equal.h"
 #include "model/zoo.h"
 #include "runner/parallel.h"
 
@@ -49,8 +51,8 @@ ClusterConfig dssp_config(int workers = 4) {
 void expect_dssp_clean(const Cluster& cluster, const RunResult& result,
                        int layers, std::int64_t iterations,
                        const std::vector<int>& live_workers) {
-  EXPECT_EQ(result.staleness_violations, 0);
-  EXPECT_EQ(result.gate_wedge_ticks, 0);
+  EXPECT_EQ(counter(result, "dssp.staleness_violations"), 0);
+  EXPECT_EQ(counter(result, "dssp.gate_wedge_ticks"), 0);
   for (std::int64_t s = 0; s < cluster.partition().num_slices(); ++s) {
     EXPECT_EQ(cluster.slice_version(s), iterations) << "slice " << s;
   }
@@ -77,7 +79,7 @@ TEST(Dssp, FaultFreeRunCompletesWithCleanAudits) {
   cluster.drain();
 
   expect_dssp_clean(cluster, result, 4, iterations, {0, 1, 2, 3});
-  EXPECT_GT(result.heartbeats_sent, 0);
+  EXPECT_GT(counter(result, "recovery.heartbeats_sent"), 0);
   EXPECT_TRUE(cluster.simulator().idle());
   EXPECT_EQ(cluster.reliable_in_flight(), 0);
 }
@@ -91,10 +93,10 @@ TEST(Dssp, OtherMethodsStayDisarmed) {
   EXPECT_FALSE(cluster.dssp_armed());
   const auto result = cluster.run(1, 3);
   cluster.drain();
-  EXPECT_EQ(result.dssp_gate_blocks, 0);
-  EXPECT_EQ(result.staleness_violations, 0);
-  EXPECT_EQ(result.gate_wedge_ticks, 0);
-  EXPECT_EQ(result.final_staleness_bound, 0);
+  EXPECT_EQ(counter(result, "dssp.gate_blocks"), 0);
+  EXPECT_EQ(counter(result, "dssp.staleness_violations"), 0);
+  EXPECT_EQ(counter(result, "dssp.gate_wedge_ticks"), 0);
+  EXPECT_EQ(result.metrics.at<obs::Gauge>("dssp.final_bound").value(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -124,10 +126,11 @@ TEST(Dssp, StragglerBlocksGateWithinBound) {
 
   expect_dssp_clean(cluster, result, 4, iterations, {0, 1, 2, 3});
   // The crawling straggler forced fast workers onto the gate at least once.
-  EXPECT_GT(result.dssp_gate_blocks, 0);
-  EXPECT_GT(result.mean_gate_wait, 0.0);
-  EXPECT_EQ(result.final_staleness_bound, 1);  // pinned
-  EXPECT_EQ(result.staleness_raises, 0);
+  EXPECT_GT(counter(result, "dssp.gate_blocks"), 0);
+  EXPECT_GT(result.metrics.at<obs::Histogram>("dssp.gate_wait_s").mean(), 0.0);
+  const obs::Gauge& bound = result.metrics.at<obs::Gauge>("dssp.final_bound");
+  EXPECT_EQ(bound.value(), 1);  // pinned
+  EXPECT_EQ(counter(result, "dssp.raises"), 0);
 }
 
 TEST(Dssp, AdaptiveControllerRaisesBoundUnderStragglers) {
@@ -152,10 +155,11 @@ TEST(Dssp, AdaptiveControllerRaisesBoundUnderStragglers) {
   expect_dssp_clean(cluster, result, 4, iterations, {0, 1, 2, 3});
   // Blocked windows must have widened the bound at least once, and the
   // time-weighted mean records the cost.
-  EXPECT_GT(result.staleness_raises, 0);
-  EXPECT_GT(result.mean_staleness_bound, 0.0);
-  EXPECT_LE(result.final_staleness_bound, cfg.staleness.s_max);
-  EXPECT_GE(result.final_staleness_bound, cfg.staleness.s_min);
+  EXPECT_GT(counter(result, "dssp.raises"), 0);
+  EXPECT_GT(result.metrics.at<obs::Gauge>("dssp.mean_bound").value(), 0.0);
+  const obs::Gauge& bound = result.metrics.at<obs::Gauge>("dssp.final_bound");
+  EXPECT_LE(bound.value(), cfg.staleness.s_max);
+  EXPECT_GE(bound.value(), cfg.staleness.s_min);
 }
 
 // ---------------------------------------------------------------------------
@@ -177,8 +181,8 @@ TEST(Dssp, DeadStragglerNeverWedgesFleet) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_GE(result.failovers, 1);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_GE(counter(result, "recovery.failovers"), 1);
   expect_dssp_clean(cluster, result, 4, iterations, {0, 1, 2});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -198,7 +202,7 @@ TEST(Dssp, CrashedWorkerRejoinsAtSlackFloor) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.worker_rejoins, 1);
+  EXPECT_EQ(counter(result, "recovery.worker_rejoins"), 1);
   expect_dssp_clean(cluster, result, 4, iterations, {0, 1, 2, 3});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -225,8 +229,8 @@ TEST(Dssp, MinorityFencedStragglerExcludedUntilHeal) {
   cluster.drain();
 
   expect_dssp_clean(cluster, result, 4, iterations, {0, 1, 2, 3, 4});
-  EXPECT_EQ(result.cross_partition_deliveries, 0);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "net.cross_partition_deliveries"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   EXPECT_TRUE(cluster.simulator().idle());
 }
 
@@ -246,10 +250,10 @@ TEST(Dssp, JoinAndDrainKeepGateLive) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.joins, 1);
-  EXPECT_GE(result.drains_completed, 1);
-  EXPECT_EQ(result.staleness_violations, 0);
-  EXPECT_EQ(result.gate_wedge_ticks, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 1);
+  EXPECT_GE(counter(result, "scale.drains_completed"), 1);
+  EXPECT_EQ(counter(result, "dssp.staleness_violations"), 0);
+  EXPECT_EQ(counter(result, "dssp.gate_wedge_ticks"), 0);
   // The retired node's clock left the roster; survivors and the joiner
   // all reached the target.
   for (int w : {0, 2, 3, 4}) {
@@ -320,15 +324,10 @@ TEST(Dssp, ChaosSweepBitIdenticalAcrossRunnerThreads) {
       EXPECT_EQ(a.throughput, b.throughput) << "point " << i;
       EXPECT_EQ(a.total_time, b.total_time) << "point " << i;
       EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "point " << i;
-      EXPECT_EQ(a.goodput_bytes, b.goodput_bytes) << "point " << i;
-      EXPECT_EQ(a.dssp_gate_blocks, b.dssp_gate_blocks) << "point " << i;
-      EXPECT_EQ(a.staleness_raises, b.staleness_raises) << "point " << i;
-      EXPECT_EQ(a.staleness_decays, b.staleness_decays) << "point " << i;
-      EXPECT_EQ(a.final_staleness_bound, b.final_staleness_bound)
-          << "point " << i;
-      EXPECT_EQ(a.mean_gate_wait, b.mean_gate_wait) << "point " << i;
-      EXPECT_EQ(a.staleness_violations, 0) << "point " << i;
-      EXPECT_EQ(a.gate_wedge_ticks, 0) << "point " << i;
+      obs::expect_same_metrics(a.metrics, b.metrics,
+                               "point " + std::to_string(i));
+      EXPECT_EQ(counter(a, "dssp.staleness_violations"), 0) << "point " << i;
+      EXPECT_EQ(counter(a, "dssp.gate_wedge_ticks"), 0) << "point " << i;
     }
   }
 }

@@ -84,18 +84,20 @@ TEST_P(ElasticJoin, JoinMigratesShardsAndConverges) {
   cluster.drain();
 
   EXPECT_TRUE(cluster.leases_armed());
-  EXPECT_EQ(result.joins, 1);
-  EXPECT_EQ(result.crashes, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 1);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 0);
   // Joiner 4 (k = 0) takes max(1, 4/5) = 1 contiguous group starting at 0.
-  EXPECT_EQ(result.migrations, 1);
+  EXPECT_EQ(counter(result, "membership.migrations"), 1);
   // P3-style slicing round-robins slices over servers, so group 0 always
   // owns state; kvstore placement may leave it empty (the handover is then
   // a pure leadership transfer).
   const bool sliced = GetParam() == SyncMethod::kSlicingOnly ||
                       GetParam() == SyncMethod::kP3;
-  if (sliced) EXPECT_GT(result.migrated_bytes, 0);
-  EXPECT_GT(result.lease_renewals, 0);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  if (sliced) {
+    EXPECT_GT(counter(result, "membership.migrated_bytes"), 0);
+  }
+  EXPECT_GT(counter(result, "membership.lease_renewals"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   // Every view converged on the joiner leading group 0.
   for (int n = 0; n < 5; ++n) {
     EXPECT_EQ(cluster.leadership_view(n).primary(0), 4) << "observer " << n;
@@ -126,10 +128,10 @@ TEST(ElasticScaleOut, JoinWithoutLeasesMigratesAndConverges) {
 
   EXPECT_TRUE(cluster.membership_armed());
   EXPECT_FALSE(cluster.leases_armed());
-  EXPECT_EQ(result.joins, 1);
-  EXPECT_EQ(result.migrations, 1);
-  EXPECT_EQ(result.lease_renewals, 0);
-  EXPECT_EQ(result.lease_expiries, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 1);
+  EXPECT_EQ(counter(result, "membership.migrations"), 1);
+  EXPECT_EQ(counter(result, "membership.lease_renewals"), 0);
+  EXPECT_EQ(counter(result, "membership.lease_expiries"), 0);
   expect_converged(cluster, 4, iterations, {0, 1, 2, 3, 4});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -150,9 +152,10 @@ TEST(ElasticScaleOut, TwoJoinersTakeDisjointShares) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.joins, 2);
-  EXPECT_EQ(result.migrations, 2);  // one group each (4 takes 0, 5 takes 1)
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 2);
+  // One group each (4 takes 0, 5 takes 1).
+  EXPECT_EQ(counter(result, "membership.migrations"), 2);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   for (int n = 0; n < 6; ++n) {
     EXPECT_EQ(cluster.leadership_view(n).primary(0), 4) << "observer " << n;
     EXPECT_EQ(cluster.leadership_view(n).primary(1), 5) << "observer " << n;
@@ -179,8 +182,8 @@ TEST(LeaseLeadership, PauseBeyondSuspicionOpensDualWindowWithoutLeases) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
   // The false failover happened, and ground truth saw both primaries act.
-  EXPECT_GE(result.failovers, 1);
-  EXPECT_GT(result.dual_primary_windows, 0);
+  EXPECT_GE(counter(result, "recovery.failovers"), 1);
+  EXPECT_GT(counter(result, "membership.dual_primary_windows"), 0);
   // The protocol still converges (version dedup absorbs the stale payloads).
   expect_converged(cluster, 4, iterations, {0, 1, 2, 3});
   EXPECT_TRUE(cluster.simulator().idle());
@@ -195,8 +198,8 @@ TEST(LeaseLeadership, LeaseOutlivesThePauseSoNoFailoverAndNoDualWindow) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
   EXPECT_TRUE(cluster.leases_armed());
-  EXPECT_EQ(result.failovers, 0);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "recovery.failovers"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_converged(cluster, 4, iterations, {0, 1, 2, 3});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -214,9 +217,9 @@ TEST(LeaseLeadership, PermanentCrashFailsOverAfterLeaseExpiry) {
   const int iterations = 6;
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_GE(result.failovers, 1);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_GE(counter(result, "recovery.failovers"), 1);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_converged(cluster, 4, iterations, {0, 1, 2});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -237,12 +240,12 @@ TEST(LeaseLeadership, RestartWithinOneHeartbeatSupersedesImmediately) {
   const int iterations = 6;
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_EQ(result.restarts, 1);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_EQ(counter(result, "recovery.restarts"), 1);
   // The new incarnation's first beacons landed before any observer's
   // silence detector noticed the death.
-  EXPECT_GE(result.supersessions, 1);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_GE(counter(result, "membership.supersessions"), 1);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_converged(cluster, 4, iterations, {0, 1, 2, 3});
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -261,9 +264,9 @@ TEST(ElasticScaleOut, JoinerCrashFailsBackToTheDonorChain) {
   const int iterations = 6;
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
-  EXPECT_EQ(result.joins, 1);
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 1);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   // Whether the crash landed before or after the handover, group 0 must end
   // on a live base server.
   for (int n = 0; n < 4; ++n) {
@@ -310,9 +313,9 @@ TEST(ElasticScaleOut, StaggeredJoinersOnOverlappingWindowsConverge) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.joins, 2);
-  EXPECT_EQ(result.migrations, 2);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "membership.joins"), 2);
+  EXPECT_EQ(counter(result, "membership.migrations"), 2);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   for (int n = 0; n < 6; ++n) {
     EXPECT_EQ(cluster.leadership_view(n).primary(0), 4) << "observer " << n;
     EXPECT_EQ(cluster.leadership_view(n).primary(1), 5) << "observer " << n;
@@ -340,12 +343,12 @@ TEST(ElasticScaleOut, StaggeredJoinersOnOverlappingWindowsConverge) {
       EXPECT_EQ(a.throughput, b.throughput) << "job " << i;
       EXPECT_EQ(a.total_time, b.total_time) << "job " << i;
       EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "job " << i;
-      EXPECT_EQ(a.joins, b.joins) << "job " << i;
-      EXPECT_EQ(a.migrations, b.migrations) << "job " << i;
-      EXPECT_EQ(a.migrated_bytes, b.migrated_bytes) << "job " << i;
-      EXPECT_EQ(a.lease_renewals, b.lease_renewals) << "job " << i;
-      EXPECT_EQ(a.dual_primary_windows, b.dual_primary_windows)
-          << "job " << i;
+      for (const char* m : {"membership.joins", "membership.migrations",
+                            "membership.migrated_bytes",
+                            "membership.lease_renewals",
+                            "membership.dual_primary_windows"}) {
+        EXPECT_EQ(counter(a, m), counter(b, m)) << "job " << i << " " << m;
+      }
     }
   }
 }
@@ -395,23 +398,23 @@ TEST(ElasticScaleOut, ElasticSweepBitIdenticalAcrossRunnerThreads) {
       EXPECT_EQ(a.throughput, b.throughput) << "point " << i;
       EXPECT_EQ(a.total_time, b.total_time) << "point " << i;
       EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "point " << i;
-      EXPECT_EQ(a.goodput_bytes, b.goodput_bytes) << "point " << i;
-      EXPECT_EQ(a.heartbeats_sent, b.heartbeats_sent) << "point " << i;
-      EXPECT_EQ(a.joins, b.joins) << "point " << i;
-      EXPECT_EQ(a.migrations, b.migrations) << "point " << i;
-      EXPECT_EQ(a.migrated_bytes, b.migrated_bytes) << "point " << i;
-      EXPECT_EQ(a.lease_renewals, b.lease_renewals) << "point " << i;
-      EXPECT_EQ(a.lease_expiries, b.lease_expiries) << "point " << i;
-      EXPECT_EQ(a.failovers, b.failovers) << "point " << i;
-      EXPECT_EQ(a.supersessions, b.supersessions) << "point " << i;
-      EXPECT_EQ(a.dual_primary_windows, b.dual_primary_windows)
-          << "point " << i;
+      for (const char* m : {"transport.goodput_bytes",
+                            "recovery.heartbeats_sent", "membership.joins",
+                            "membership.migrations",
+                            "membership.migrated_bytes",
+                            "membership.lease_renewals",
+                            "membership.lease_expiries", "recovery.failovers",
+                            "membership.supersessions",
+                            "membership.dual_primary_windows"}) {
+        EXPECT_EQ(counter(a, m), counter(b, m)) << "point " << i << " " << m;
+      }
     }
   }
   // And the lease rows of the reference execution honored the invariant.
   for (std::size_t i = 0; i < grid.size(); ++i) {
     if (grid[i].lease) {
-      EXPECT_EQ(by_threads[0][i].dual_primary_windows, 0) << "point " << i;
+      EXPECT_EQ(counter(by_threads[0][i], "membership.dual_primary_windows"), 0)
+          << "point " << i;
     }
   }
 }

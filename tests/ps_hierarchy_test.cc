@@ -108,12 +108,12 @@ TEST(HierPlane, StaysDisarmedOnFlatTopology) {
   cluster.drain();
   EXPECT_FALSE(cluster.hierarchy_armed());
   EXPECT_FALSE(cluster.rack_aggregation_armed());
-  EXPECT_EQ(result.uplink_overtakes, 0);
-  EXPECT_EQ(result.uplink_priority_inversions, 0);
-  EXPECT_EQ(result.tor_uplink_bytes, 0);
-  EXPECT_EQ(result.agg_combined_pushes, 0);
-  EXPECT_EQ(result.agg_param_broadcasts, 0);
-  EXPECT_EQ(result.agg_fallback_pushes, 0);
+  EXPECT_EQ(counter(result, "net.uplink_overtakes"), 0);
+  EXPECT_EQ(counter(result, "net.uplink_priority_inversions"), 0);
+  EXPECT_EQ(counter(result, "net.tor_uplink_bytes"), 0);
+  EXPECT_EQ(counter(result, "hierarchy.agg_combined_pushes"), 0);
+  EXPECT_EQ(counter(result, "hierarchy.agg_param_broadcasts"), 0);
+  EXPECT_EQ(counter(result, "hierarchy.agg_fallback_pushes"), 0);
   expect_converged(cluster, 4, 4, 4);
 }
 
@@ -135,15 +135,15 @@ TEST_P(HierAllMethods, ConvergesExactlyOnceOnOversubscribedFabric) {
 
   EXPECT_TRUE(cluster.hierarchy_armed());
   EXPECT_EQ(cluster.rack_aggregation_armed(), aggregation);
-  EXPECT_GT(result.tor_uplink_bytes, 0);
-  EXPECT_EQ(result.uplink_priority_inversions, 0);
+  EXPECT_GT(counter(result, "net.tor_uplink_bytes"), 0);
+  EXPECT_EQ(counter(result, "net.uplink_priority_inversions"), 0);
   if (aggregation) {
     // Every cross-tier push went through a rack pre-reduce...
-    EXPECT_GT(result.agg_combined_pushes, 0);
+    EXPECT_GT(counter(result, "hierarchy.agg_combined_pushes"), 0);
     // ...and nothing needed the direct fallback on a healthy fabric.
-    EXPECT_EQ(result.agg_fallback_pushes, 0);
+    EXPECT_EQ(counter(result, "hierarchy.agg_fallback_pushes"), 0);
   } else {
-    EXPECT_EQ(result.agg_combined_pushes, 0);
+    EXPECT_EQ(counter(result, "hierarchy.agg_combined_pushes"), 0);
   }
   expect_converged(cluster, 4, iterations, 4);
   EXPECT_TRUE(cluster.simulator().idle());
@@ -186,12 +186,11 @@ TEST(HierDeterminism, SweepBitIdenticalAcrossRunnerThreads) {
       const RunResult& b = by_threads[t][i];
       EXPECT_EQ(a.throughput, b.throughput) << "point " << i;
       EXPECT_EQ(a.total_time, b.total_time) << "point " << i;
-      EXPECT_EQ(a.tor_uplink_bytes, b.tor_uplink_bytes) << "point " << i;
-      EXPECT_EQ(a.uplink_overtakes, b.uplink_overtakes) << "point " << i;
-      EXPECT_EQ(a.agg_combined_pushes, b.agg_combined_pushes)
-          << "point " << i;
-      EXPECT_EQ(a.agg_param_broadcasts, b.agg_param_broadcasts)
-          << "point " << i;
+      for (const char* m : {"net.tor_uplink_bytes", "net.uplink_overtakes",
+                            "hierarchy.agg_combined_pushes",
+                            "hierarchy.agg_param_broadcasts"}) {
+        EXPECT_EQ(counter(a, m), counter(b, m)) << "point " << i << " " << m;
+      }
     }
   }
 }
@@ -208,8 +207,8 @@ TEST(HierPriority, P3SlicesOvertakeBulkAtTheUplinkWithoutInversion) {
                   hier_config(SyncMethod::kP3, 4.0, false));
   const auto result = cluster.run(2, 3);
   cluster.drain();
-  EXPECT_GT(result.uplink_overtakes, 0);
-  EXPECT_EQ(result.uplink_priority_inversions, 0);
+  EXPECT_GT(counter(result, "net.uplink_overtakes"), 0);
+  EXPECT_EQ(counter(result, "net.uplink_priority_inversions"), 0);
   expect_converged(cluster, 4, 5, 4);
 }
 
@@ -221,8 +220,8 @@ TEST(HierPriority, FifoPortAblationForfeitsTheOvertakes) {
   cluster.drain();
   // FIFO service starts bulk while urgent slices wait: inversions appear,
   // overtakes vanish — and the protocol still converges (slower).
-  EXPECT_EQ(result.uplink_overtakes, 0);
-  EXPECT_GT(result.uplink_priority_inversions, 0);
+  EXPECT_EQ(counter(result, "net.uplink_overtakes"), 0);
+  EXPECT_GT(counter(result, "net.uplink_priority_inversions"), 0);
   expect_converged(cluster, 4, 5, 4);
 }
 
@@ -251,12 +250,12 @@ TEST(HierChaos, AggregatorCrashFallsBackToDirectPushExactlyOnce) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_GT(result.crashes, 0);
-  EXPECT_GT(result.restarts, 0);
+  EXPECT_GT(counter(result, "recovery.crashes"), 0);
+  EXPECT_GT(counter(result, "recovery.restarts"), 0);
   // The surviving rack peer bypassed the dead aggregator...
-  EXPECT_GT(result.agg_fallback_pushes, 0);
+  EXPECT_GT(counter(result, "hierarchy.agg_fallback_pushes"), 0);
   // ...the tree still carried traffic outside the outage...
-  EXPECT_GT(result.agg_combined_pushes, 0);
+  EXPECT_GT(counter(result, "hierarchy.agg_combined_pushes"), 0);
   // ...and the contribution ledger kept every slice exactly-once through
   // the crash, the re-pushes, and any stale aggregated covers.
   expect_converged(cluster, 4, iterations, 4);
@@ -278,13 +277,13 @@ TEST(HierChaos, RackSeveringPartitionParksAndDrainsOnHeal) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_GT(result.partition_drops, 0);
+  EXPECT_GT(counter(result, "net.partition_drops"), 0);
   // The cut-off rack parked its cross-rack pushes instead of burning them
   // against a severed uplink...
-  EXPECT_GT(result.parked_pushes, 0);
+  EXPECT_GT(counter(result, "partition.parked_pushes"), 0);
   // ...and heal drained them without loss or double-apply.
-  EXPECT_EQ(result.cross_partition_deliveries, 0);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "net.cross_partition_deliveries"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_converged(cluster, 4, iterations, 4);
   EXPECT_TRUE(cluster.simulator().idle());
 }

@@ -232,8 +232,8 @@ TEST(MembershipIntegration, LossPlanBelowThresholdCausesNoFailover) {
   // Six consecutive beacons must vanish to cross the threshold; at 10%
   // loss that never happens in this window — and a spurious takeover
   // would desync the run.
-  EXPECT_EQ(result.failovers, 0);
-  EXPECT_EQ(result.crashes, 0);
+  EXPECT_EQ(counter(result, "recovery.failovers"), 0);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 0);
   for (std::int64_t s = 0; s < cluster.partition().num_slices(); ++s) {
     EXPECT_EQ(cluster.slice_version(s), 4);
   }
@@ -255,7 +255,7 @@ TEST(MembershipIntegration, ShortFlapBelowThresholdCausesNoFailover) {
   Cluster cluster(small_workload(), cfg);
   const auto result = cluster.run(1, 3);
   cluster.drain();
-  EXPECT_EQ(result.failovers, 0);
+  EXPECT_EQ(counter(result, "recovery.failovers"), 0);
   for (std::int64_t s = 0; s < cluster.partition().num_slices(); ++s) {
     EXPECT_EQ(cluster.slice_version(s), 4);
   }

@@ -95,16 +95,16 @@ TEST_P(SymmetricPartition, QuorumGatesMinorityAndHealConvergesExactlyOnce) {
   EXPECT_TRUE(cluster.partition_plane_armed());
   EXPECT_FALSE(cluster.clock_drift_armed());
   // The cut did real damage...
-  EXPECT_GT(result.partition_drops, 0);
+  EXPECT_GT(counter(result, "net.partition_drops"), 0);
   // ...the minority wanted to elect successors for the majority's groups
   // (their leases all expired in its view) and was denied for lack of
   // quorum...
-  EXPECT_GE(result.quorum_denied_failovers, 1);
+  EXPECT_GE(counter(result, "partition.quorum_denied_failovers"), 1);
   // ...minority workers parked pushes toward view-dead majority servers...
-  EXPECT_GT(result.parked_pushes, 0);
+  EXPECT_GT(counter(result, "partition.parked_pushes"), 0);
   // ...and the two safety ground truths held throughout.
-  EXPECT_EQ(result.dual_primary_windows, 0);
-  EXPECT_EQ(result.cross_partition_deliveries, 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
+  EXPECT_EQ(counter(result, "net.cross_partition_deliveries"), 0);
 
   // After heal every observer agrees on one primary per group.
   for (int g = 0; g < 5; ++g) {
@@ -143,11 +143,11 @@ TEST(AsymmetricPartition, EchoFencesTheStraddlingPrimaryBeforeFailover) {
   cluster.drain();
 
   // The minority-led straddling group self-fenced on negative echoes...
-  EXPECT_GE(result.lease_expiries, 1);
+  EXPECT_GE(counter(result, "membership.lease_expiries"), 1);
   // ...and the majority elected its backup after the lease ran out.
-  EXPECT_GE(result.failovers, 1);
-  EXPECT_EQ(result.dual_primary_windows, 0);
-  EXPECT_EQ(result.cross_partition_deliveries, 0);
+  EXPECT_GE(counter(result, "recovery.failovers"), 1);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
+  EXPECT_EQ(counter(result, "net.cross_partition_deliveries"), 0);
   expect_converged(cluster, 4, iterations, 5);
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -169,11 +169,11 @@ TEST(FlappingPartition, ChurnsWithoutFailoverOrDualWindows) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_GT(result.partition_drops, 0);
+  EXPECT_GT(counter(result, "net.partition_drops"), 0);
   // A 50 ms gap never exhausts a 100 ms lease: no successor may act.
-  EXPECT_EQ(result.failovers, 0);
-  EXPECT_EQ(result.dual_primary_windows, 0);
-  EXPECT_EQ(result.cross_partition_deliveries, 0);
+  EXPECT_EQ(counter(result, "recovery.failovers"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
+  EXPECT_EQ(counter(result, "net.cross_partition_deliveries"), 0);
   expect_converged(cluster, 4, iterations, 5);
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -198,16 +198,16 @@ TEST(ClockDrift, PartitionedRunStaysSafeAndBitIdenticalUnderSkew) {
   };
   const RunResult a = run_once();
   const RunResult b = run_once();
-  EXPECT_EQ(a.dual_primary_windows, 0);
-  EXPECT_EQ(a.cross_partition_deliveries, 0);
+  EXPECT_EQ(counter(a, "membership.dual_primary_windows"), 0);
+  EXPECT_EQ(counter(a, "net.cross_partition_deliveries"), 0);
   EXPECT_EQ(a.throughput, b.throughput);
   EXPECT_EQ(a.total_time, b.total_time);
   EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-  EXPECT_EQ(a.partition_drops, b.partition_drops);
-  EXPECT_EQ(a.parked_pushes, b.parked_pushes);
-  EXPECT_EQ(a.quorum_denied_failovers, b.quorum_denied_failovers);
-  EXPECT_EQ(a.lease_expiries, b.lease_expiries);
-  EXPECT_EQ(a.failovers, b.failovers);
+  for (const char* m : {"net.partition_drops", "partition.parked_pushes",
+                        "partition.quorum_denied_failovers",
+                        "membership.lease_expiries", "recovery.failovers"}) {
+    EXPECT_EQ(counter(a, m), counter(b, m)) << m;
+  }
 }
 
 TEST(ClockDrift, PartitionSweepBitIdenticalAcrossRunnerThreads) {
@@ -251,20 +251,19 @@ TEST(ClockDrift, PartitionSweepBitIdenticalAcrossRunnerThreads) {
       EXPECT_EQ(a.throughput, b.throughput) << "point " << i;
       EXPECT_EQ(a.total_time, b.total_time) << "point " << i;
       EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "point " << i;
-      EXPECT_EQ(a.partition_drops, b.partition_drops) << "point " << i;
-      EXPECT_EQ(a.parked_pushes, b.parked_pushes) << "point " << i;
-      EXPECT_EQ(a.quorum_denied_failovers, b.quorum_denied_failovers)
-          << "point " << i;
-      EXPECT_EQ(a.lease_expiries, b.lease_expiries) << "point " << i;
-      EXPECT_EQ(a.failovers, b.failovers) << "point " << i;
-      EXPECT_EQ(a.dual_primary_windows, b.dual_primary_windows)
-          << "point " << i;
+      for (const char* m : {"net.partition_drops", "partition.parked_pushes",
+                            "partition.quorum_denied_failovers",
+                            "membership.lease_expiries", "recovery.failovers",
+                            "membership.dual_primary_windows"}) {
+        EXPECT_EQ(counter(a, m), counter(b, m)) << "point " << i << " " << m;
+      }
     }
   }
   // And every cell of the reference execution honored the invariants.
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(by_threads[0][i].dual_primary_windows, 0) << "point " << i;
-    EXPECT_EQ(by_threads[0][i].cross_partition_deliveries, 0)
+    EXPECT_EQ(counter(by_threads[0][i], "membership.dual_primary_windows"), 0)
+        << "point " << i;
+    EXPECT_EQ(counter(by_threads[0][i], "net.cross_partition_deliveries"), 0)
         << "point " << i;
   }
 }
@@ -292,9 +291,9 @@ TEST(ClockDrift, PauseShorterThanSkewAdjustedLeaseMarginNeverSupersedes) {
 
   EXPECT_TRUE(cluster.clock_drift_armed());
   EXPECT_FALSE(cluster.partition_plane_armed());  // drift is independent
-  EXPECT_EQ(result.failovers, 0);
-  EXPECT_EQ(result.supersessions, 0);
-  EXPECT_EQ(result.dual_primary_windows, 0);
+  EXPECT_EQ(counter(result, "recovery.failovers"), 0);
+  EXPECT_EQ(counter(result, "membership.supersessions"), 0);
+  EXPECT_EQ(counter(result, "membership.dual_primary_windows"), 0);
   expect_converged(cluster, 4, iterations, 5);
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -314,10 +313,10 @@ TEST(PartitionPlane, StaysDisarmedWithoutConfiguredPartitions) {
 
   EXPECT_FALSE(cluster.partition_plane_armed());
   EXPECT_FALSE(cluster.clock_drift_armed());
-  EXPECT_EQ(result.partition_drops, 0);
-  EXPECT_EQ(result.parked_pushes, 0);
-  EXPECT_EQ(result.quorum_denied_failovers, 0);
-  EXPECT_EQ(result.cross_partition_deliveries, 0);
+  EXPECT_EQ(counter(result, "net.partition_drops"), 0);
+  EXPECT_EQ(counter(result, "partition.parked_pushes"), 0);
+  EXPECT_EQ(counter(result, "partition.quorum_denied_failovers"), 0);
+  EXPECT_EQ(counter(result, "net.cross_partition_deliveries"), 0);
 }
 
 }  // namespace

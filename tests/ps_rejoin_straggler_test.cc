@@ -87,10 +87,10 @@ TEST_P(StragglingRejoin, RejoinUnderPauseAndDegradationConverges) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.crashes, 1);
-  EXPECT_EQ(result.restarts, 1);
-  EXPECT_EQ(result.worker_rejoins, 1);
-  EXPECT_GT(result.max_rejoin_lag, 0.0);
+  EXPECT_EQ(counter(result, "recovery.crashes"), 1);
+  EXPECT_EQ(counter(result, "recovery.restarts"), 1);
+  EXPECT_EQ(counter(result, "recovery.worker_rejoins"), 1);
+  EXPECT_GT(result.metrics.at<obs::Gauge>("recovery.rejoin_lag_s").max(), 0.0);
   expect_converged(cluster, iterations);
   EXPECT_TRUE(cluster.simulator().idle());
   EXPECT_EQ(cluster.reliable_in_flight(), 0);
@@ -112,7 +112,7 @@ TEST(StragglingRejoin, WiderSlackStillExactlyOnce) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.worker_rejoins, 1);
+  EXPECT_EQ(counter(result, "recovery.worker_rejoins"), 1);
   expect_converged(cluster, iterations);
   EXPECT_TRUE(cluster.simulator().idle());
 }
@@ -131,9 +131,9 @@ TEST(StragglingRejoin, DsspAuditsStayCleanWhileRejoinerCatchesUp) {
   const auto result = cluster.run(1, iterations - 1);
   cluster.drain();
 
-  EXPECT_EQ(result.worker_rejoins, 1);
-  EXPECT_EQ(result.staleness_violations, 0);
-  EXPECT_EQ(result.gate_wedge_ticks, 0);
+  EXPECT_EQ(counter(result, "recovery.worker_rejoins"), 1);
+  EXPECT_EQ(counter(result, "dssp.staleness_violations"), 0);
+  EXPECT_EQ(counter(result, "dssp.gate_wedge_ticks"), 0);
   expect_converged(cluster, iterations);
   EXPECT_TRUE(cluster.simulator().idle());
 }

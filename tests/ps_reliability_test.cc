@@ -205,10 +205,11 @@ TEST(Reliability, SameSeedSameFaultsBitIdentical) {
     EXPECT_DOUBLE_EQ(a.iteration_times[i], b.iteration_times[i]) << i;
   }
   EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.timeouts_fired, b.timeouts_fired);
-  EXPECT_EQ(a.duplicates_suppressed, b.duplicates_suppressed);
+  for (const char* m : {"net.messages_dropped", "transport.retransmits",
+                        "transport.timeouts_fired",
+                        "transport.duplicates_suppressed"}) {
+    EXPECT_EQ(counter(a, m), counter(b, m)) << m;
+  }
   EXPECT_EQ(a.wire_bytes, b.wire_bytes);
 }
 
@@ -236,7 +237,7 @@ TEST(Reliability, DifferentFaultSeedsDiverge) {
     Cluster cluster(small_workload(), cfg);
     auto result = cluster.run(0, 4);
     cluster.drain();
-    return result.messages_dropped;
+    return counter(result, "net.messages_dropped");
   };
   // With ~hundreds of messages at 5% loss, two independent drop streams
   // matching exactly is vanishingly unlikely.
@@ -256,7 +257,7 @@ TEST(Reliability, EmptyPlanKeepsLayerDisarmed) {
   EXPECT_EQ(cluster.retransmits(), 0);
   EXPECT_EQ(cluster.timeouts_fired(), 0);
   EXPECT_EQ(cluster.duplicates_suppressed(), 0);
-  EXPECT_EQ(result.messages_dropped, 0);
+  EXPECT_EQ(counter(result, "net.messages_dropped"), 0);
   // No acks on the wire: posted messages are exactly the protocol's own.
   EXPECT_EQ(cluster.network().messages_posted(),
             cluster.pushes_sent() + cluster.params_sent() +
@@ -322,7 +323,7 @@ TEST(Reliability, BackoffCapBoundsRecoveryAfterLongFlap) {
     auto result = cluster.run(0, iterations);
     cluster.drain();
     expect_converged(cluster, 4, 4, iterations);
-    EXPECT_GT(result.retransmits, 0);
+    EXPECT_GT(counter(result, "transport.retransmits"), 0);
     return result.total_time;
   };
   // Capped at 500 ms (+10% jitter), the first probe after the flap clears
@@ -351,8 +352,9 @@ TEST(Reliability, JitteredRetransmissionsStayDeterministic) {
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.timeouts_fired, b.timeouts_fired);
+  for (const char* m : {"transport.retransmits", "transport.timeouts_fired"}) {
+    EXPECT_EQ(counter(a, m), counter(b, m)) << m;
+  }
   EXPECT_EQ(a.wire_bytes, b.wire_bytes);
 }
 

@@ -1,7 +1,7 @@
 // ParallelExecutor unit tests plus the golden-determinism suite: every sweep
 // must produce bit-identical Series at any thread count, and same-seed fault
-// runs must be byte-equal field by field. These are the tests the
-// --threads flag's documentation points at.
+// runs must be byte-equal in every RunResult field and registry metric.
+// These are the tests the --threads flag's documentation points at.
 #include "runner/parallel.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "metrics_equal.h"
 #include "model/zoo.h"
 #include "ps/cluster.h"
 #include "runner/experiment.h"
@@ -199,15 +200,11 @@ TEST(GoldenDeterminism, SameSeedFaultRunsAreByteIdenticalAcrossThreads) {
       expect_bitwise(r.iteration_times[i], serial.iteration_times[i],
                      "iteration_times[i]");
     }
-    EXPECT_EQ(r.messages_dropped, serial.messages_dropped);
-    EXPECT_EQ(r.retransmits, serial.retransmits);
-    EXPECT_EQ(r.timeouts_fired, serial.timeouts_fired);
-    EXPECT_EQ(r.duplicates_suppressed, serial.duplicates_suppressed);
-    EXPECT_EQ(r.goodput_bytes, serial.goodput_bytes);
     EXPECT_EQ(r.wire_bytes, serial.wire_bytes);
+    obs::expect_same_metrics(r.metrics, serial.metrics, "pooled run");
   }
   // The fault plan actually did something, or this test proves nothing.
-  EXPECT_GT(serial.messages_dropped, 0);
+  EXPECT_GT(ps::counter(serial, "net.messages_dropped"), 0);
 }
 
 }  // namespace
