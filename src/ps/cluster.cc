@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace p3::ps {
 namespace {
@@ -315,7 +316,7 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     ws->rng = Rng(cfg_.seed + 1000003ULL * static_cast<std::uint64_t>(w + 1));
     // Base workers hold the initial weights; a joiner's process does not
     // exist yet and will sync parameters through the join handshake.
-    ws->recv_version.assign(n_slices, joiner ? -1 : 0);
+    reset_recv_versions(*ws, joiner ? -1 : 0);
     ws->recv_bytes.assign(n_slices, 0);
     ws->recv_inflight.assign(n_slices, -1);
     ws->last_push_iter.assign(n_slices, -1);
@@ -1489,7 +1490,7 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
       partition_.slices[si].payload_bytes()) {
     return;
   }
-  ws.recv_version[si] = m.version;
+  raise_recv_version(ws, m.slice, m.version);
   ws.recv_inflight[si] = -1;
   ws.recv_bytes[si] = 0;
   if (tracing() && ws.last_push_iter[si] >= 0) {
@@ -1503,16 +1504,44 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
   // The layer's forward gate opens at the oldest complete slice version
   // (identical to the byte-count trigger when deliveries are exactly-once).
   const auto layer = static_cast<std::size_t>(m.layer);
-  std::int64_t layer_min = m.version;
-  for (auto s : partition_.layer_slices[layer]) {
-    layer_min = std::min(layer_min,
-                         ws.recv_version[static_cast<std::size_t>(s)]);
-  }
-  ws.gates[layer]->advance_to(layer_min);
+  ws.gates[layer]->advance_to(ws.layer_min[layer]);
   // Recovery-path params (stale-push replies, failover re-sends) count as
   // round-completion evidence: a layer whose notify died with a crashed
   // server can still pull its remaining slices.
   maybe_pull_layer(w, static_cast<int>(layer));
+}
+
+void Cluster::raise_recv_version(WorkerState& ws, std::int64_t slice,
+                                 std::int64_t v) {
+  const auto si = static_cast<std::size_t>(slice);
+  const auto l = static_cast<std::size_t>(partition_.slices[si].layer);
+  const std::int64_t old = std::exchange(ws.recv_version[si], v);
+  auto& lo = ws.layer_min[l];
+  auto& at = ws.layer_at_min[l];
+  if (old != lo || --at > 0) return;
+  // The last slice at the minimum moved up: rescan for the new one.
+  lo = WorkerState::kEmptyMin;
+  for (auto s : partition_.layer_slices[l]) {
+    const std::int64_t r = ws.recv_version[static_cast<std::size_t>(s)];
+    if (r < lo) {
+      lo = r;
+      at = 1;
+    } else if (r == lo) {
+      ++at;
+    }
+  }
+}
+
+void Cluster::reset_recv_versions(WorkerState& ws, std::int64_t v) {
+  ws.recv_version.assign(static_cast<std::size_t>(partition_.num_slices()), v);
+  const std::size_t layers = partition_.layer_slices.size();
+  ws.layer_min.resize(layers);
+  ws.layer_at_min.resize(layers);
+  for (std::size_t l = 0; l < layers; ++l) {
+    const auto n = static_cast<std::int64_t>(partition_.layer_slices[l].size());
+    ws.layer_min[l] = n > 0 ? v : WorkerState::kEmptyMin;
+    ws.layer_at_min[l] = n;
+  }
 }
 
 void Cluster::send_params(int server, std::int64_t slice, int worker) {
@@ -2968,7 +2997,7 @@ void Cluster::teardown_process_state(int node) {
                             ws.sendq_depth);
     ws.notify_version.assign(ws.notify_version.size(), -1);
     ws.pulled_round.assign(ws.pulled_round.size(), -1);
-    ws.recv_version.assign(ws.recv_version.size(), -1);  // holds nothing
+    reset_recv_versions(ws, -1);  // holds nothing
     ws.recv_bytes.assign(ws.recv_bytes.size(), 0);
     ws.recv_inflight.assign(ws.recv_inflight.size(), -1);
     if (partition_plane_) parked_[nn].clear();  // parked copies die with it

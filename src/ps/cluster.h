@@ -51,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -455,7 +456,19 @@ class Cluster {
     // newest complete parameter version held for slice s (0 = initial
     // weights, -1 = crashed process holding nothing); `recv_bytes` /
     // `recv_inflight` accumulate the fragments of one in-flight version.
+    // Written only through Cluster::raise_recv_version and
+    // reset_recv_versions, which keep the per-layer minimum below in step.
     std::vector<std::int64_t> recv_version;
+    /// Per layer: the minimum `recv_version` over the layer's slices — the
+    /// version its forward gate may open at — and how many slices hold
+    /// exactly that minimum. The layer is rescanned only when its last
+    /// slice at the minimum advances: O(S) per layer per version instead of
+    /// per completed slice. A layer without slices holds kEmptyMin / 0 (the
+    /// minimum of no versions).
+    std::vector<std::int64_t> layer_min;
+    std::vector<std::int64_t> layer_at_min;
+    static constexpr std::int64_t kEmptyMin =
+        std::numeric_limits<std::int64_t>::max();
     std::vector<Bytes> recv_bytes;
     std::vector<std::int64_t> recv_inflight;
     /// Last iteration pushed per slice (-1 = none). Drives deterministic
@@ -600,6 +613,14 @@ class Cluster {
   void enqueue_pull(int w, std::int64_t slice, std::int64_t iteration);
   void worker_on_notify(int w, const net::Message& m);
   void worker_on_param(int w, const net::Message& m);
+  /// The only writers of `ws.recv_version`; both keep `layer_min` and
+  /// `layer_at_min` in step. raise_recv_version moves one slice up to
+  /// `v` (> its current version, as worker_on_param guarantees);
+  /// reset_recv_versions sets every slice to `v` (construction, crash) in
+  /// O(layers) bookkeeping.
+  void raise_recv_version(WorkerState& ws, std::int64_t slice,
+                          std::int64_t v);
+  void reset_recv_versions(WorkerState& ws, std::int64_t v);
   void send_params(int server, std::int64_t slice, int worker);
   Bytes wire_payload(Bytes logical) const;
   int item_priority(std::int64_t slice) const;

@@ -16,11 +16,11 @@
 #include <coroutine>
 #include <deque>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "sim/heap.h"
 #include "sim/simulator.h"
 
 namespace p3::sim {
@@ -105,6 +105,13 @@ class QueueBase {
   std::size_t reserved_ = 0;
 };
 
+/// Adapts a std::priority_queue-style "ranks below" comparator to the
+/// heap's "pops first" order.
+template <typename T, typename Compare>
+struct PopsFirst {
+  bool operator()(const T& a, const T& b) const { return Compare{}(b, a); }
+};
+
 }  // namespace detail
 
 /// Unbounded FIFO channel.
@@ -159,13 +166,15 @@ class Queue : public detail::QueueBase<std::deque<T>> {
 };
 
 /// Unbounded priority channel. `Compare` follows std::priority_queue
-/// convention: comp(a, b) == true means a ranks below b.
+/// convention: comp(a, b) == true means a ranks below b. With a strict
+/// total order (e.g. priority, then a unique seq) the pop order is exactly
+/// std::priority_queue's. Pops move the element out, so T may be move-only.
 template <typename T, typename Compare>
 class PriorityQueue
     : public detail::QueueBase<
-          std::priority_queue<T, std::vector<T>, Compare>> {
-  using Base =
-      detail::QueueBase<std::priority_queue<T, std::vector<T>, Compare>>;
+          detail::QuadHeap<T, detail::PopsFirst<T, Compare>>> {
+  using Base = detail::QueueBase<
+      detail::QuadHeap<T, detail::PopsFirst<T, Compare>>>;
 
  public:
   using Base::Base;
@@ -179,9 +188,7 @@ class PriorityQueue
 
   std::optional<T> try_pop() {
     if (this->available() == 0) return std::nullopt;
-    T v = this->items_.top();
-    this->items_.pop();
-    return v;
+    return this->items_.pop();
   }
 
  private:
@@ -201,9 +208,7 @@ class PriorityQueue
       if (q->items_.empty()) {
         throw std::logic_error("PriorityQueue::pop resumed with no item");
       }
-      T v = q->items_.top();
-      q->items_.pop();
-      return v;
+      return q->items_.pop();
     }
   };
 };

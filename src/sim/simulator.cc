@@ -1,14 +1,11 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace p3::sim {
-
-// The event queue is a 4-ary min-heap over trivially copyable entries:
-// half the depth of a binary heap, sift moves that compile to plain
-// stores, and the four children of a node share a cache line.
 
 Simulator::~Simulator() {
   // Destroy any processes still suspended (e.g. servers blocked on their
@@ -37,43 +34,7 @@ void Simulator::enqueue(TimeS t, std::uint32_t slot) {
     batch_.push_back(e);
     return;
   }
-  heap_push(e);
-}
-
-void Simulator::heap_push(const Entry& e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-Simulator::Entry Simulator::heap_pop() {
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n > 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-  }
-  return top;
+  heap_.push(e);
 }
 
 void Simulator::spawn(Task task) {
@@ -92,63 +53,59 @@ void Simulator::run_entry(const Entry& e) {
   fn();
 }
 
-bool Simulator::step() {
-  if (heap_.empty()) return false;
-  const Entry e = heap_pop();
-  now_ = e.time;
-  run_entry(e);
-  return true;
-}
-
-bool Simulator::dispatch_batch() {
-  if (heap_.empty()) return false;
-  const TimeS t = heap_.front().time;
-  batch_.clear();
-  while (!heap_.empty() && heap_.front().time == t) {
-    batch_.push_back(heap_pop());
-  }
-  now_ = t;
-  dispatching_ = true;
-  // batch_ may grow while we iterate: same-time events scheduled by a batch
-  // member append behind it (see enqueue()). Index, don't iterate.
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    try {
-      run_entry(batch_[i]);
-    } catch (...) {
-      // Keep the queue consistent: the unexecuted remainder of the batch
-      // goes back on the heap so a caller that catches can keep running.
-      for (std::size_t j = i + 1; j < batch_.size(); ++j) {
-        heap_push(batch_[j]);
-      }
-      batch_.clear();
-      dispatching_ = false;
-      throw;
-    }
-  }
+void Simulator::close_batch(std::size_t next) {
+  for (std::size_t j = next; j < batch_.size(); ++j) heap_.push(batch_[j]);
   batch_.clear();
   dispatching_ = false;
-  return true;
+}
+
+bool Simulator::dispatch(TimeS until, const std::function<bool()>* done) {
+  bool fired = done != nullptr && (*done)();
+  while (!fired && !heap_.empty() && heap_.top().time <= until) {
+    const TimeS t = heap_.top().time;
+    batch_.clear();
+    while (!heap_.empty() && heap_.top().time == t) {
+      batch_.push_back(heap_.pop());
+    }
+    now_ = t;
+    dispatching_ = true;
+    // batch_ may grow while we iterate: same-time events scheduled by a
+    // batch member append behind it (see enqueue()). Index, don't iterate.
+    std::size_t i = 0;
+    while (i < batch_.size()) {
+      try {
+        run_entry(batch_[i++]);
+      } catch (...) {
+        // Keep the queue consistent: the unexecuted remainder of the batch
+        // goes back on the heap so a caller that catches can keep running.
+        close_batch(i);
+        throw;
+      }
+      // Stop exactly where a one-event-at-a-time loop would; the rest of
+      // the batch keeps its seqs, so a later run resumes in order.
+      if (done != nullptr && (*done)()) {
+        fired = true;
+        break;
+      }
+    }
+    close_batch(i);
+  }
+  reap_tasks();
+  return fired;
 }
 
 void Simulator::run() {
-  while (dispatch_batch()) {
-  }
-  reap_tasks();
+  dispatch(std::numeric_limits<TimeS>::infinity(), nullptr);
 }
 
 TimeS Simulator::run_until(TimeS t) {
-  while (!heap_.empty() && heap_.front().time <= t) dispatch_batch();
+  dispatch(t, nullptr);
   if (now_ < t) now_ = t;
-  reap_tasks();
   return now_;
 }
 
 bool Simulator::run_while(const std::function<bool()>& done) {
-  while (!done()) {
-    if (!step()) return false;
-  }
-  reap_tasks();
-  return true;
+  return dispatch(std::numeric_limits<TimeS>::infinity(), &done);
 }
 
 void Simulator::reap_tasks() {

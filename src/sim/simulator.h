@@ -10,16 +10,19 @@
 //   * callbacks are `EventFn` — small-buffer-optimized with a dedicated
 //     coroutine-handle representation, so steady-state scheduling does no
 //     heap allocation (see event.h);
-//   * the priority queue holds 24-byte POD entries (time, seq, slot); the
-//     callback itself sits in a recycled slab and never moves during heap
-//     sifts, so each event costs exactly two EventFn moves (in and out)
+//   * the priority queue is the 4-ary `detail::QuadHeap` (heap.h, the same
+//     heap PriorityQueue uses) over 24-byte POD entries (time, seq, slot);
+//     the callback itself sits in a recycled slab and never moves during
+//     heap sifts, so each event costs exactly two EventFn moves (in and out)
 //     however deep the queue gets;
-//   * `run()` dispatches same-time events as one batch: zero-delay events
-//     scheduled *during* the batch (queue wakeups, resume_soon — the
-//     dominant pattern) append straight to the batch and never touch the
-//     heap. FIFO tie order is preserved because an appended event's
-//     sequence number exceeds every event already in the batch, and the
-//     heap holds no events at the batch time while one is open.
+//   * every drive loop (`run`, `run_until`, `run_while`) dispatches
+//     same-time events as one batch: zero-delay events scheduled *during*
+//     the batch (queue wakeups, resume_soon — the dominant pattern) append
+//     straight to the batch and never touch the heap. FIFO tie order is
+//     preserved because an appended event's sequence number exceeds every
+//     event already in the batch, and the heap holds no events at the batch
+//     time while one is open. A loop that stops mid-batch (a `run_while`
+//     predicate, a throwing event) puts the unrun rest back on the heap.
 #pragma once
 
 #include <coroutine>
@@ -31,6 +34,7 @@
 
 #include "common/units.h"
 #include "sim/event.h"
+#include "sim/heap.h"
 #include "sim/task.h"
 
 namespace p3::sim {
@@ -70,9 +74,6 @@ class Simulator {
   /// Adopt and start a coroutine process.
   void spawn(Task task);
 
-  /// Run a single event. Returns false if the queue is empty.
-  bool step();
-
   /// Run until the event queue drains.
   void run();
 
@@ -81,8 +82,10 @@ class Simulator {
   /// stay queued. Returns the final simulated time.
   TimeS run_until(TimeS t);
 
-  /// Run until `done` returns true (checked after every event) or the queue
-  /// drains. Returns true if the predicate fired.
+  /// Run until `done` returns true (checked before the first event and
+  /// after every event) or the queue drains. Returns true if the predicate
+  /// fired. Same-time events still run as one batch; a stop mid-batch
+  /// leaves the rest queued in order.
   bool run_while(const std::function<bool()>& done);
 
   /// Number of events executed so far (each batched event counts once).
@@ -122,27 +125,32 @@ class Simulator {
     std::uint32_t slot;
   };
   /// Strict total order on events: (time, seq) — seq values are unique.
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
+  struct Before {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time < b.time;
+      return a.seq < b.seq;
+    }
+  };
 
   std::uint32_t acquire_slot();
   /// Heap-or-batch insert of a parked callback (non-template backend of
   /// schedule()).
   void enqueue(TimeS t, std::uint32_t slot);
-  void heap_push(const Entry& e);
-  Entry heap_pop();
   void run_entry(const Entry& e);
-  /// Pop the earliest batch of tie-time events and run it (FIFO by seq).
-  /// Returns false if the queue was empty.
-  bool dispatch_batch();
+  /// Close the open batch; entries from index `next` on were not run and
+  /// go back on the heap.
+  void close_batch(std::size_t next);
+  /// The one drive loop: runs tie-time batches (FIFO by seq) while the
+  /// earliest event is at or before `until`, checking `done` (if given)
+  /// first and after every event. Reaps finished tasks on every normal
+  /// return. Returns true if `done` fired.
+  bool dispatch(TimeS until, const std::function<bool()>* done);
   void reap_tasks();
 
   TimeS now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Entry> heap_;
+  detail::QuadHeap<Entry, Before> heap_;
   std::vector<EventFn> slots_;            ///< parked callbacks
   std::vector<std::uint32_t> free_slots_; ///< recycled slab indices
   std::vector<Entry> batch_;  ///< reused dispatch buffer

@@ -4,8 +4,12 @@
 // must never regress a stage or deliver a slice twice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "model/zoo.h"
@@ -134,6 +138,100 @@ TEST_P(LifecycleCrash, NoStageRegressionOrDoubleDeliveryUnderFailover) {
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, LifecycleCrash,
                          ::testing::ValuesIn(kAllMethods));
+
+// The forward gate of layer l opens only once *every* slice of the layer
+// holds the previous iteration's parameters: F{l+1} of iteration i never
+// starts before the last slice of layer l is param-ready at iteration i-1.
+// Layers hold tens of slices, and a worker crash+restart plus the failover
+// of its server's groups drive the gate through the recovery paths.
+TEST(ForwardGate, WaitsForEverySliceOfTheLayerUnderRecovery) {
+  ClusterConfig cfg = base_config(SyncMethod::kP3, /*workers=*/4);
+  cfg.slice_params = 5'000;  // 24 slices per 120k-param layer
+  cfg.replication = 2;
+  cfg.heartbeat_period = ms(5);
+  cfg.suspicion_timeout = ms(25);
+  net::NodeCrash crash;
+  crash.node = 1;  // worker 1 + server 1, back after 40 ms
+  crash.at = 0.05;
+  crash.restart_after = 0.04;
+  cfg.faults.crashes.push_back(crash);
+
+  const int warmup = 1;
+  Cluster cluster(small_workload(), cfg);
+  obs::Tracer tracer;
+  cluster.attach_tracer(&tracer);
+  const auto result = cluster.run(warmup, 9);
+  ASSERT_EQ(counter(result, "recovery.restarts"), 1);
+  ASSERT_EQ(counter(result, "recovery.worker_rejoins"), 1);
+  ASSERT_GE(counter(result, "recovery.failovers"), 1);
+
+  const auto& part = cluster.partition();
+  const int layers = static_cast<int>(part.layer_slices.size());
+  ASSERT_GE(part.layer_slices[0].size(), 20u);
+  // A process incarnation starts at time 0 or at its node's crash; gate
+  // evidence from an earlier incarnation does not carry over.
+  const auto incarnation = [&](int w, TimeS t) {
+    return w == crash.node && t >= crash.at ? 1 : 0;
+  };
+
+  // Latest param-ready per (worker, incarnation, layer, iteration), and the
+  // iteration each grad-ready timestamp belongs to.
+  std::map<std::tuple<int, int, int, std::int64_t>, TimeS> ready;
+  std::map<int, std::vector<std::pair<TimeS, std::int64_t>>> grads;
+  for (const auto& r : tracer.lifecycle_records()) {
+    if (r.stage == obs::Stage::kParamReady) {
+      auto& t = ready[{r.worker, incarnation(r.worker, r.t), r.layer,
+                       r.iteration}];
+      t = std::max(t, r.t);
+    } else if (r.stage == obs::Stage::kGradReady) {
+      grads[r.worker].emplace_back(r.t, r.iteration);
+    }
+  }
+
+  int checked = 0;
+  for (int w = 0; w < cfg.n_workers; ++w) {
+    // Forward passes on w's compute lane: F1 opens a pass, and the pass's
+    // iteration is the one its backward pass reports grad-ready for (a pass
+    // cut short by the crash has none and is skipped).
+    const std::string lane = "w" + std::to_string(w) + ".cmp";
+    std::vector<std::vector<const obs::Event*>> passes;
+    for (const auto& e : tracer.events()) {
+      if (e.kind != obs::EventKind::kSpan ||
+          tracer.track_name(e.track) != lane) {
+        continue;
+      }
+      if (tracer.label_text(e.label) == "F1") passes.emplace_back();
+      if (!passes.empty()) passes.back().push_back(&e);
+    }
+    for (std::size_t p = 0; p < passes.size(); ++p) {
+      const TimeS from = passes[p].front()->t0;
+      const TimeS to = p + 1 < passes.size()
+                           ? passes[p + 1].front()->t0
+                           : std::numeric_limits<TimeS>::infinity();
+      std::int64_t iter = -1;
+      for (const auto& [t, i] : grads[w]) {
+        if (t >= from && t < to) {
+          iter = i;
+          break;
+        }
+      }
+      if (iter < warmup) continue;
+      for (const obs::Event* e : passes[p]) {
+        const std::string& label = tracer.label_text(e->label);
+        if (label[0] != 'F') continue;
+        const int l = std::stoi(label.substr(1)) - 1;
+        if (part.layer_slices[static_cast<std::size_t>(l)].empty()) continue;
+        const auto it =
+            ready.find({w, incarnation(w, e->t0), l, iter - 1});
+        if (it == ready.end()) continue;
+        EXPECT_GE(e->t0, it->second)
+            << "worker " << w << " iteration " << iter << " F" << l + 1;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, cfg.n_workers * layers * 5);
+}
 
 }  // namespace
 }  // namespace p3::ps

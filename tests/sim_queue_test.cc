@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <queue>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -162,6 +164,71 @@ TEST(PriorityQueue, TryPop) {
   q.push({2, 2});
   EXPECT_EQ(q.try_pop()->priority, 2);
   EXPECT_EQ(q.try_pop()->priority, 5);
+}
+
+TEST(PriorityQueue, PopsInStdPriorityQueueOrder) {
+  // 10k interleaved pushes and pops with heavily repeated priorities; the
+  // comparator is a strict total order (priority, then a unique id), so the
+  // pop sequence must match std::priority_queue's exactly.
+  Simulator sim;
+  PriorityQueue<PrioItem, PrioCompare> q(sim);
+  std::priority_queue<PrioItem, std::vector<PrioItem>, PrioCompare> ref;
+  std::mt19937 rng(12345);
+  int next_id = 0;
+  int pops = 0;
+  for (int op = 0; op < 10000; ++op) {
+    if (ref.empty() || rng() % 3 != 0) {
+      const PrioItem item{static_cast<int>(rng() % 4), next_id++};
+      q.push(item);
+      ref.push(item);
+    } else {
+      const auto got = q.try_pop();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->id, ref.top().id) << "op " << op;
+      ref.pop();
+      ++pops;
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  while (!ref.empty()) {
+    const auto got = q.try_pop();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->id, ref.top().id);
+    ref.pop();
+    ++pops;
+  }
+  EXPECT_FALSE(q.try_pop().has_value());
+  EXPECT_EQ(pops, next_id);
+}
+
+struct MoveOnlyItem {
+  int priority;
+  std::unique_ptr<int> payload;
+};
+struct MoveOnlyCompare {
+  bool operator()(const MoveOnlyItem& a, const MoveOnlyItem& b) const {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    return *a.payload > *b.payload;
+  }
+};
+
+TEST(PriorityQueue, MoveOnlyPayloadsRoundTrip) {
+  Simulator sim;
+  PriorityQueue<MoveOnlyItem, MoveOnlyCompare> q(sim);
+  for (int i = 0; i < 8; ++i) {
+    q.push({i % 2, std::make_unique<int>(i)});
+  }
+  std::vector<int> order;
+  sim.spawn([](PriorityQueue<MoveOnlyItem, MoveOnlyCompare>& queue,
+               std::vector<int>& out) -> Task {
+    for (int i = 0; i < 4; ++i) {
+      MoveOnlyItem item = co_await queue.pop();
+      out.push_back(*item.payload);
+    }
+  }(q, order));
+  sim.run();
+  while (auto item = q.try_pop()) order.push_back(*item->payload);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 1, 3, 5, 7}));
 }
 
 // A push wakes a consumer through the event loop; if the run ends before

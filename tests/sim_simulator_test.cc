@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -174,6 +175,66 @@ TEST(Simulator, ThrowingEventLeavesRemainingBatchRunnable) {
   EXPECT_EQ(ran, 1);       // only the event before the throw ran
   EXPECT_FALSE(sim.idle());
   sim.run();               // the re-queued remainder is still runnable
+  EXPECT_EQ(ran, 3);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+}
+
+TEST(Simulator, RunWhileStopsMidBatchAndResumesInFifoOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 1; i <= 4; ++i) {
+    sim.schedule(1.0, [&order, i] { order.push_back(i); });
+  }
+  sim.schedule(2.0, [&order] { order.push_back(5); });
+  EXPECT_TRUE(sim.run_while([&] { return order.size() >= 2; }));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(sim.idle());
+  sim.run();  // the unrun rest of the t=1 batch, then t=2
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+}
+
+TEST(Simulator, RunWhileStopsBeforeZeroDelayEventsAppendedToTheBatch) {
+  // Events appended to the open batch are part of its unrun rest too.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1.0, [&] {
+    order.push_back(0);
+    sim.schedule(0.0, [&] { order.push_back(2); });
+  });
+  sim.schedule(1.0, [&] { order.push_back(1); });
+  EXPECT_TRUE(sim.run_while([&] { return order.size() == 2; }));
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Simulator, RunWhileReapsFinishedTasksWhenTheQueueDrains) {
+  Simulator sim;
+  // The coroutine frame holds a copy of `token` until the frame is freed.
+  auto token = std::make_shared<int>(0);
+  sim.spawn([](Simulator& s, std::shared_ptr<int>) -> Task {
+    co_await s.sleep(1.0);
+  }(sim, token));
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_FALSE(sim.run_while([] { return false; }));
+  EXPECT_EQ(token.use_count(), 1);  // the finished frame was reaped
+}
+
+TEST(Simulator, ThrowInsideRunWhileLeavesRemainingBatchRunnable) {
+  Simulator sim;
+  int ran = 0;
+  sim.schedule(1.0, [&] { ++ran; });
+  sim.schedule(1.0, [] { throw std::runtime_error("boom"); });
+  sim.schedule(1.0, [&] { ++ran; });
+  sim.schedule(2.0, [&] { ++ran; });
+  EXPECT_THROW(sim.run_while([] { return false; }), std::runtime_error);
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_FALSE(sim.run_while([] { return false; }));
   EXPECT_EQ(ran, 3);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
