@@ -559,25 +559,49 @@ void Cluster::arm_reliable(net::Message& m, int via_worker) {
   pending.rto = initial_rto(m);
   pending.via_worker = via_worker;
   pending_tx_.emplace(m.msg_id, std::move(pending));
+  pending_tx_peak_ = std::max(pending_tx_peak_,
+                              static_cast<std::int64_t>(pending_tx_.size()));
 }
 
-void Cluster::schedule_retx_timer(std::int64_t msg_id, TimeS delay) {
+void Cluster::schedule_retx_timer(std::int64_t msg_id, PendingTx& pending) {
+  if (sim_.pending(pending.timer)) {
+    throw std::logic_error("second retransmit timer armed for msg " +
+                           std::to_string(msg_id));
+  }
+  TimeS delay = pending.rto;
   if (cfg_.rto_jitter > 0.0) {
     delay += delay * cfg_.rto_jitter * rto_rng_.uniform();
   }
-  sim_.schedule(delay, [this, msg_id] { on_retx_timeout(msg_id); });
+  pending.timer = sim_.schedule_timer(
+      delay, [this, msg_id] { on_retx_timeout(msg_id); });
+  // Retransmit timers are the only timers this cluster schedules.
+  retx_timers_peak_ = std::max(
+      retx_timers_peak_, static_cast<std::int64_t>(sim_.pending_timers()));
+}
+
+void Cluster::retire_pending(std::int64_t msg_id) {
+  const auto it = pending_tx_.find(msg_id);
+  if (it == pending_tx_.end()) return;
+  sim_.cancel(it->second.timer);
+  pending_tx_.erase(it);
 }
 
 void Cluster::on_retx_timeout(std::int64_t msg_id) {
+  // Acks, teardown and migration sweeps cancel the timer when they retire
+  // the message, so a firing timer always finds it pending and idle.
   const auto it = pending_tx_.find(msg_id);
-  if (it == pending_tx_.end()) return;  // acked; the timer is a no-op
+  if (it == pending_tx_.end() || it->second.queued) {
+    throw std::logic_error("retransmit timer fired for msg " +
+                           std::to_string(msg_id) +
+                           (it == pending_tx_.end() ? ", which is retired"
+                                                    : ", already queued"));
+  }
   ++timeouts_fired_;
   PendingTx& pending = it->second;
   // Exponential backoff to a bounded ceiling: a node down for seconds keeps
   // being probed at max_rto rate instead of the timer doubling away.
   pending.rto = std::min(pending.rto * cfg_.rto_backoff, cfg_.max_rto);
   if (pending.via_worker >= 0) {
-    if (pending.queued) return;  // defensive: already awaiting the sender
     pending.queued = true;
     auto& ws = *workers_[static_cast<std::size_t>(pending.via_worker)];
     SendItem item;
@@ -602,7 +626,7 @@ void Cluster::on_retx_timeout(std::int64_t msg_id) {
                     "r" + net::message_label(pending.msg));
     }
     net_->post(pending.msg);
-    schedule_retx_timer(msg_id, pending.rto);
+    schedule_retx_timer(msg_id, pending);
   }
 }
 
@@ -631,10 +655,13 @@ bool Cluster::accept_reliable(int node, const net::Message& m) {
     ++duplicates_suppressed_;
     return false;
   }
-  if (!seen_[static_cast<std::size_t>(node)].insert(m.msg_id).second) {
+  auto& seen = seen_[static_cast<std::size_t>(node)];
+  if (!seen.insert(m.msg_id)) {
     ++duplicates_suppressed_;
     return false;
   }
+  dedup_entries_peak_ = std::max(dedup_entries_peak_,
+                                 static_cast<std::int64_t>(seen.size()));
   maybe_gc_dedup(node);
   return true;
 }
@@ -645,23 +672,21 @@ void Cluster::maybe_gc_dedup(int node) {
   // Every id below the oldest still-pending send is final: its sender either
   // got the ack or gave up for good, so no copy of it can ever be posted
   // again. Anything still retransmitting pins the floor.
-  std::int64_t floor = next_msg_id_;
-  for (const auto& [id, tx] : pending_tx_) floor = std::min(floor, id);
-  auto& mark = dedup_floor_[static_cast<std::size_t>(node)];
-  if (floor <= mark) return;
-  mark = floor;
-  for (auto it = seen.begin(); it != seen.end();) {
-    it = *it < floor ? seen.erase(it) : std::next(it);
+  while (live_floor_ < next_msg_id_ && !pending_tx_.contains(live_floor_)) {
+    ++live_floor_;
   }
+  auto& mark = dedup_floor_[static_cast<std::size_t>(node)];
+  if (live_floor_ <= mark) return;
+  mark = live_floor_;
+  seen.drop_below(mark);
 }
 
 void Cluster::post_tracked(net::Message m) {
   if (membership_on_ && !reachable(m.dst)) return;  // nobody to deliver to
   if (reliable_ && m.src != m.dst) {
     arm_reliable(m, -1);
-    const TimeS rto = pending_tx_.at(m.msg_id).rto;
     net_->post(m);
-    schedule_retx_timer(m.msg_id, rto);
+    schedule_retx_timer(m.msg_id, pending_tx_.at(m.msg_id));
   } else {
     net_->post(m);
   }
@@ -859,7 +884,7 @@ sim::Task Cluster::worker_sender(int w) {
       // Only re-arm the timer if the ack didn't land mid-send.
       const auto it2 = pending_tx_.find(item.retx_id);
       if (it2 != pending_tx_.end()) {
-        schedule_retx_timer(item.retx_id, it2->second.rto);
+        schedule_retx_timer(item.retx_id, it2->second);
       }
       continue;
     }
@@ -941,7 +966,7 @@ sim::Task Cluster::worker_sender(int w) {
     if (m.msg_id >= 0) {
       const auto it = pending_tx_.find(m.msg_id);
       if (it != pending_tx_.end()) {
-        schedule_retx_timer(m.msg_id, it->second.rto);
+        schedule_retx_timer(m.msg_id, it->second);
       }
     }
   }
@@ -973,8 +998,8 @@ sim::Task Cluster::node_demux(int n) {
     if (membership_on_ && !node_state_[nn].up) continue;  // dead process
     if (m.kind == net::MsgKind::kAck) {
       // Delivery confirmed: retire the sender-side retransmission state
-      // (any outstanding timer becomes a no-op).
-      pending_tx_.erase(m.msg_id);
+      // and cancel its timer.
+      retire_pending(m.msg_id);
       if (membership_on_) {
         on_replicate_ack(m.msg_id);
         on_migrate_ack(m.msg_id);
@@ -1675,9 +1700,8 @@ void Cluster::commit_round(int server, std::int64_t slice,
     m.bytes = wire_payload(sl.payload_bytes()) + net::kHeaderBytes;
     arm_reliable(m, -1);
     replicate_wait_.emplace(m.msg_id, key);
-    const TimeS rto = pending_tx_.at(m.msg_id).rto;
     net_->post(m);
-    schedule_retx_timer(m.msg_id, rto);
+    schedule_retx_timer(m.msg_id, pending_tx_.at(m.msg_id));
     ++sent;
   }
   if (sent == 0) {
@@ -2434,9 +2458,8 @@ void Cluster::start_migration(int donor, int group, int target) {
     m.bytes = wire_payload(2 * sl.payload_bytes()) + net::kHeaderBytes;
     arm_reliable(m, -1);
     migration_wait_.emplace(m.msg_id, group);
-    const TimeS rto = pending_tx_.at(m.msg_id).rto;
     net_->post(m);
-    schedule_retx_timer(m.msg_id, rto);
+    schedule_retx_timer(m.msg_id, pending_tx_.at(m.msg_id));
     ++ms.outstanding;
   }
   if (ms.outstanding == 0) {
@@ -3048,7 +3071,7 @@ void Cluster::teardown_process_state(int node) {
     if (donor_died || target_gone) {
       for (auto w = migration_wait_.begin(); w != migration_wait_.end();) {
         if (w->second == it->first) {
-          pending_tx_.erase(w->first);
+          retire_pending(w->first);
           w = migration_wait_.erase(w);
         } else {
           ++w;
@@ -3062,16 +3085,19 @@ void Cluster::teardown_process_state(int node) {
   // The dead process no longer retransmits anything it sent, and — when it
   // will never return — nothing addressed to it can ever be delivered, so
   // those timers must not probe forever.
+  // Ids are collected first: on_replicate_ack can release a round, whose
+  // tracked posts insert into pending_tx_ and may rehash it under a live
+  // iterator.
   const bool forever = permanently_down(node);
-  for (auto it = pending_tx_.begin(); it != pending_tx_.end();) {
-    const net::Message& m = it->second.msg;
-    if (m.src == node || (forever && m.dst == node)) {
-      const std::int64_t id = it->first;
-      it = pending_tx_.erase(it);
-      on_replicate_ack(id);  // a dead backup cannot hold a barrier hostage
-    } else {
-      ++it;
+  std::vector<std::int64_t> dead;
+  for (const auto& [id, tx] : pending_tx_) {
+    if (tx.msg.src == node || (forever && tx.msg.dst == node)) {
+      dead.push_back(id);
     }
+  }
+  for (const std::int64_t id : dead) {
+    retire_pending(id);
+    on_replicate_ack(id);  // a dead backup cannot hold a barrier hostage
   }
 }
 
@@ -3620,6 +3646,16 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
   // score, so adaptive runs pay for the slack they held.
   registry_.gauge("dssp.mean_bound")
       .set(dssp_on_ ? staleness_->mean_bound(end) : 0.0);
+  if (next_msg_id_ > 0) {
+    // Reliable-delivery state high-water marks, for runs that tracked any
+    // message: long chaotic runs must hold bounded state.
+    registry_.gauge("transport.pending_tx_peak")
+        .set(static_cast<double>(pending_tx_peak_));
+    registry_.gauge("transport.retx_timers_peak")
+        .set(static_cast<double>(retx_timers_peak_));
+    registry_.gauge("transport.dedup_entries_peak")
+        .set(static_cast<double>(dedup_entries_peak_));
+  }
   if (hierarchy_on_) {
     // Per-tier link gauges: snapshot the switch-port stats into the registry
     // so metrics dumps carry them next to the protocol counters.

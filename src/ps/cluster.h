@@ -57,7 +57,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -71,6 +70,7 @@
 #include "obs/registry.h"
 #include "obs/tracer.h"
 #include "ps/autoscaler.h"
+#include "ps/dedup_window.h"
 #include "ps/membership.h"
 #include "ps/staleness.h"
 #include "sim/queue.h"
@@ -498,6 +498,7 @@ class Cluster {
     TimeS rto = 0.0;      ///< delay of the *next* timer to be armed
     int via_worker = -1;  ///< >= 0: retransmit through this worker's sendq
     bool queued = false;  ///< a retransmit item is sitting in the sendq
+    sim::TimerId timer;   ///< the retransmit timer; at most one is live
   };
 
   struct ServerState {
@@ -635,15 +636,21 @@ class Cluster {
   /// (server->worker params/notify and worker pull requests).
   void post_tracked(net::Message m);
   TimeS initial_rto(const net::Message& m) const;
-  void schedule_retx_timer(std::int64_t msg_id, TimeS delay);
+  /// Arm `msg_id`'s retransmit timer for `pending.rto` (plus jitter).
+  /// Throws std::logic_error if the message already has a live timer.
+  void schedule_retx_timer(std::int64_t msg_id, PendingTx& pending);
   void on_retx_timeout(std::int64_t msg_id);
+  /// Retire a pending message, if still pending: cancel its timer and
+  /// erase its sender-side state.
+  void retire_pending(std::int64_t msg_id);
   /// Demux-side reliability front-end: acks `m` and deduplicates. Returns
   /// false when `m` is a duplicate that must not reach the protocol.
   bool accept_reliable(int node, const net::Message& m);
   /// Watermark GC of `node`'s dedup table: once it exceeds a size threshold,
   /// advance the floor to the smallest msg id any sender can still
-  /// retransmit and drop every entry below it (below-floor arrivals are
-  /// suppressed by the floor alone), so long chaos runs hold bounded state.
+  /// retransmit (live_floor_) and drop every entry below it (below-floor
+  /// arrivals are suppressed by the floor alone), so long chaos runs hold
+  /// bounded state.
   void maybe_gc_dedup(int node);
 
   // --- membership plane ---
@@ -909,7 +916,15 @@ class Cluster {
   bool reliable_ = false;
   std::int64_t next_msg_id_ = 0;
   std::unordered_map<std::int64_t, PendingTx> pending_tx_;
-  std::vector<std::unordered_set<std::int64_t>> seen_;  ///< per-node dedup
+  /// Cursor: no id below it is in pending_tx_. Ids enter pending_tx_ only
+  /// from arm_reliable, in increasing order, and never return once erased,
+  /// so the cursor only moves up (O(1) amortized per id).
+  std::int64_t live_floor_ = 0;
+  std::vector<DedupWindow> seen_;  ///< per-node dedup
+  // Bounded-memory evidence, written to the transport.*_peak gauges.
+  std::int64_t retx_timers_peak_ = 0;
+  std::int64_t pending_tx_peak_ = 0;
+  std::int64_t dedup_entries_peak_ = 0;
   /// Per-node dedup watermark: msg ids below it are suppressed without a
   /// table entry (see maybe_gc_dedup). Survives crashes — suppression of a
   /// retired id is always safe, and live retransmissions pin the floor.

@@ -1,4 +1,5 @@
-// 4-ary min-heap shared by the simulator's event queue and PriorityQueue.
+// 4-ary min-heap shared by the simulator's event and timer queues and
+// PriorityQueue.
 //
 // Half the depth of a binary heap, and the four children of a node sit next
 // to each other in memory. Sifts move a "hole" instead of swapping, so each
@@ -13,37 +14,72 @@
 
 namespace p3::sim::detail {
 
+/// Default `Placed` hook: the heap does not report element positions.
+struct Untracked {
+  template <typename T>
+  void operator()(const T&, std::size_t) const noexcept {}
+};
+
 /// `Before(a, b)` is true when `a` must pop before `b`. When it is a strict
 /// total order on the stored elements, the pop sequence is fully determined
 /// by it (the same as any other correct priority queue's).
-template <typename T, typename Before>
+///
+/// `Placed(elem, index)` is called whenever an element comes to rest at a
+/// new index. An indexed heap records that index so erase() can remove the
+/// element later in O(log n); the default hook compiles away.
+template <typename T, typename Before, typename Placed = Untracked>
 class QuadHeap {
  public:
+  QuadHeap() = default;
+  explicit QuadHeap(Placed placed) : placed_(std::move(placed)) {}
+
   bool empty() const { return v_.empty(); }
   std::size_t size() const { return v_.size(); }
   const T& top() const { return v_.front(); }
 
   void push(T value) {
-    std::size_t i = v_.size();
+    const std::size_t i = v_.size();
     v_.push_back(std::move(value));
-    if (i == 0) return;
-    T x = std::move(v_[i]);
+    sift_up(i, std::move(v_[i]));
+  }
+
+  T pop() { return erase(0); }
+
+  /// Remove and return the element at `index` (as last reported to
+  /// `Placed`).
+  T erase(std::size_t index) {
+    T out = std::move(v_[index]);
+    T last = std::move(v_.back());
+    v_.pop_back();
+    if (index == v_.size()) return out;  // `last` was the removed element
+    if (index > 0 && before_(last, v_[(index - 1) / 4])) {
+      sift_up(index, std::move(last));
+    } else {
+      sift_down(index, std::move(last));
+    }
+    return out;
+  }
+
+ private:
+  void place(std::size_t i, T&& x) {
+    v_[i] = std::move(x);
+    placed_(v_[i], i);
+  }
+
+  /// Seat `x` in the hole at `i`, moving ancestors down past it.
+  void sift_up(std::size_t i, T x) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
       if (!before_(x, v_[parent])) break;
-      v_[i] = std::move(v_[parent]);
+      place(i, std::move(v_[parent]));
       i = parent;
     }
-    v_[i] = std::move(x);
+    place(i, std::move(x));
   }
 
-  T pop() {
-    T top = std::move(v_.front());
-    T last = std::move(v_.back());
-    v_.pop_back();
+  /// Seat `x` in the hole at `i`, moving the earliest child up past it.
+  void sift_down(std::size_t i, T x) {
     const std::size_t n = v_.size();
-    if (n == 0) return top;
-    std::size_t i = 0;
     for (;;) {
       const std::size_t first = 4 * i + 1;
       if (first >= n) break;
@@ -52,17 +88,16 @@ class QuadHeap {
       for (std::size_t c = first + 1; c < end; ++c) {
         if (before_(v_[c], v_[best])) best = c;
       }
-      if (!before_(v_[best], last)) break;
-      v_[i] = std::move(v_[best]);
+      if (!before_(v_[best], x)) break;
+      place(i, std::move(v_[best]));
       i = best;
     }
-    v_[i] = std::move(last);
-    return top;
+    place(i, std::move(x));
   }
 
- private:
   std::vector<T> v_;
   [[no_unique_address]] Before before_;
+  [[no_unique_address]] Placed placed_;
 };
 
 }  // namespace p3::sim::detail

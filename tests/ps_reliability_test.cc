@@ -375,10 +375,46 @@ TEST(Reliability, DedupStateStaysBoundedOnLongChaoticRuns) {
   cfg.slice_params = 5'000;  // 16 slices: lots of reliable traffic per iter
   cfg.faults.drop_prob = 0.02;
   cfg.max_sim_time = 120.0;
+  // The same config over a quarter and over four times the run: state that
+  // grew with run length would show as peaks that grow with it.
+  auto peaks_of = [&](int iterations) {
+    Cluster c(small_workload(2, 40'000, 0.002), cfg);
+    RunResult res = c.run(0, iterations);
+    c.drain();
+    return res;
+  };
+  const RunResult quarter = peaks_of(50);
+  const RunResult four_times = peaks_of(800);
   Cluster cluster(small_workload(2, 40'000, 0.002), cfg);
   const int iterations = 200;
-  cluster.run(0, iterations);
+  const RunResult r = cluster.run(0, iterations);
   cluster.drain();
+
+  auto peak = [](const RunResult& res, const char* m) {
+    return res.metrics.at<obs::Gauge>(m).max();
+  };
+  // Retransmit timers: at most one live per pending message, every one
+  // cancelled or fired by the time the run settles.
+  EXPECT_LE(peak(r, "transport.retx_timers_peak"),
+            peak(r, "transport.pending_tx_peak"));
+  EXPECT_EQ(cluster.simulator().pending_timers(), 0u);
+  EXPECT_TRUE(cluster.simulator().idle());
+  for (const char* m :
+       {"transport.pending_tx_peak", "transport.retx_timers_peak"}) {
+    EXPECT_GT(peak(quarter, m), 0.0) << m;
+    EXPECT_LE(peak(r, m), 1.25 * peak(quarter, m))
+        << m << ": " << peak(quarter, m) << " -> " << peak(r, m);
+  }
+  // A dedup window only fills up to the GC threshold before its first GC,
+  // which the 50-iteration run does not reach (about 1.2k ids per node), so
+  // its growth is checked from 200 iterations on, where every node has run
+  // the GC.
+  for (const char* m :
+       {"transport.pending_tx_peak", "transport.retx_timers_peak",
+        "transport.dedup_entries_peak"}) {
+    EXPECT_LE(peak(four_times, m), 1.25 * peak(r, m))
+        << m << ": " << peak(r, m) << " -> " << peak(four_times, m);
+  }
 
   expect_converged(cluster, 4, 2, iterations);
   EXPECT_EQ(cluster.reliable_in_flight(), 0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -254,6 +256,194 @@ TEST(Simulator, LargeCallbacksFallBackToTheHeapCorrectly) {
   sim.schedule(1.0, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// --- cancellable timers ---
+
+TEST(SimulatorTimer, CancelledTimerNeverRunsAndIsNotCounted) {
+  Simulator sim;
+  int ran = 0;
+  const TimerId t = sim.schedule_timer(1.0, [&] { ran += 10; });
+  sim.schedule_timer(2.0, [&] { ++ran; });
+  sim.schedule(3.0, [&] { ++ran; });
+  EXPECT_TRUE(sim.pending(t));
+  EXPECT_EQ(sim.pending_timers(), 2u);
+  EXPECT_TRUE(sim.cancel(t));
+  EXPECT_FALSE(sim.pending(t));
+  EXPECT_FALSE(sim.cancel(t));  // already cancelled
+  EXPECT_EQ(sim.pending_timers(), 1u);
+  sim.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.pending_timers(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
+TEST(SimulatorTimer, TimersAndEventsAtEqualTimesRunInScheduleOrder) {
+  // Timers sit in their own heap; the batch merge must interleave them with
+  // plain events by seq exactly as one heap would, including zero-delay
+  // timers scheduled from inside the open batch.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1.0, [&] { order.push_back(0); });
+  sim.schedule_timer(1.0, [&] { order.push_back(1); });
+  sim.schedule_timer(1.0, [&] {
+    order.push_back(2);
+    sim.schedule_timer(0.0, [&] { order.push_back(6); });
+    sim.schedule(0.0, [&] { order.push_back(7); });
+  });
+  sim.schedule(1.0, [&] { order.push_back(3); });
+  sim.schedule_at(1.0, [&] { order.push_back(4); });
+  sim.schedule_timer(1.0, [&] { order.push_back(5); });
+  sim.schedule_timer(0.5, [&] { order.push_back(-1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(sim.events_executed(), 9u);
+}
+
+TEST(SimulatorTimer, SameTimeEventCancelsALaterTimerInTheOpenBatch) {
+  Simulator sim;
+  std::vector<int> order;
+  TimerId victim;
+  sim.schedule(1.0, [&] {
+    order.push_back(0);
+    EXPECT_TRUE(sim.cancel(victim));
+    EXPECT_FALSE(sim.cancel(victim));
+  });
+  victim = sim.schedule_timer(1.0, [&] { order.push_back(1); });
+  sim.schedule(1.0, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.pending_timers(), 0u);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(SimulatorTimer, CancelAfterFireOrOfAReusedSlotReturnsFalse) {
+  Simulator sim;
+  bool cancelled_self = true;
+  TimerId first;
+  first = sim.schedule_timer(1.0, [&] { cancelled_self = sim.cancel(first); });
+  sim.run();
+  EXPECT_FALSE(cancelled_self);  // a running timer has already fired
+  EXPECT_FALSE(sim.cancel(first));
+  // The freed record is reused by the next timer; the old id must not reach
+  // the new timer.
+  int ran = 0;
+  const TimerId second = sim.schedule_timer(1.0, [&] { ++ran; });
+  EXPECT_EQ(second.index, first.index);
+  EXPECT_NE(second.gen, first.gen);
+  EXPECT_FALSE(sim.cancel(first));
+  EXPECT_TRUE(sim.pending(second));
+  sim.run();
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(sim.cancel(TimerId{}));  // names no timer
+}
+
+TEST(SimulatorTimer, CancellingEveryPendingTimerLeavesTheSimulatorIdle) {
+  Simulator sim;
+  std::vector<TimerId> ids;
+  int ran = 0;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(sim.schedule_timer(0.01 * (i % 7), [&] { ++ran; }));
+  }
+  EXPECT_FALSE(sim.idle());
+  // Cancel from the middle outwards so erase() hits interior heap slots.
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(sim.cancel(ids[static_cast<std::size_t>((i * 37) % 100)]));
+  }
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.pending_timers(), 0u);
+  sim.run();
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sim.events_executed(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+}
+
+TEST(SimulatorTimer, TimerCancelledInsideRunWhileStaysCancelledAfterStop) {
+  // The cancel marks an entry of the open batch; the predicate then stops
+  // the batch before that entry and puts the rest back on the heaps. The
+  // cancelled timer must not come back.
+  Simulator sim;
+  std::vector<int> order;
+  TimerId victim;
+  sim.schedule(1.0, [&] {
+    order.push_back(0);
+    sim.cancel(victim);
+  });
+  sim.schedule(1.0, [&] { order.push_back(1); });
+  victim = sim.schedule_timer(1.0, [&] { order.push_back(2); });
+  sim.schedule_timer(1.0, [&] { order.push_back(3); });
+  EXPECT_TRUE(sim.run_while([&] { return !order.empty(); }));
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_FALSE(sim.pending(victim));
+  EXPECT_EQ(sim.pending_timers(), 1u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(SimulatorTimer, ThrowingEventPutsUnrunTimersBackInOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1.0, [] { throw std::runtime_error("boom"); });
+  sim.schedule_timer(1.0, [&] { order.push_back(1); });
+  sim.schedule(1.0, [&] { order.push_back(2); });
+  const TimerId late = sim.schedule_timer(2.0, [&] { order.push_back(3); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_TRUE(sim.pending(late));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorTimer, RandomCancelsMatchAOneHeapReference) {
+  // 5k seeded timers and events at coarse times (many ties), a third of the
+  // timers cancelled at random moments: the run order must equal the
+  // schedule order sorted by (time, seq) minus the cancelled timers.
+  Simulator sim;
+  std::uint64_t state = 12345;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  struct Planned {
+    TimeS t;
+    int seq;
+    bool timer;
+    TimerId id;
+    bool cancelled = false;
+  };
+  std::vector<Planned> plan;
+  std::vector<int> ran;
+  for (int i = 0; i < 5000; ++i) {
+    const TimeS t = static_cast<double>(next() % 50);
+    const bool timer = next() % 2 == 0;
+    Planned p{t, i, timer, {}};
+    if (timer) {
+      p.id = sim.schedule_timer(t, [&ran, i] { ran.push_back(i); });
+    } else {
+      sim.schedule(t, [&ran, i] { ran.push_back(i); });
+    }
+    plan.push_back(p);
+    if (next() % 3 == 0) {
+      Planned& victim = plan[next() % plan.size()];
+      if (victim.timer && !victim.cancelled) {
+        EXPECT_TRUE(sim.cancel(victim.id));
+        victim.cancelled = true;
+      }
+    }
+  }
+  std::vector<Planned> expected = plan;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Planned& a, const Planned& b) { return a.t < b.t; });
+  std::vector<int> want;
+  for (const Planned& p : expected) {
+    if (!p.cancelled) want.push_back(p.seq);
+  }
+  sim.run();
+  EXPECT_EQ(ran, want);
+  EXPECT_EQ(sim.events_executed(), want.size());
 }
 
 // --- coroutine task tests ---
