@@ -103,6 +103,13 @@ long long count(const DrillContext& ctx, const char* metric) {
   return static_cast<long long>(ps::counter(*ctx.run, metric));
 }
 
+/// The cluster's live registry counter. Unlike count(), it includes what a
+/// drain() settled after the run's snapshot was taken.
+long long live(const ps::Cluster& cluster, const char* metric) {
+  return static_cast<long long>(
+      cluster.metrics().at<obs::Counter>(metric).value());
+}
+
 void no_setup(DrillContext&) {}
 void no_audit(DrillContext&, std::vector<std::string>&) {}
 
@@ -180,7 +187,7 @@ void partition_audit(DrillContext& ctx, std::vector<std::string>& problems) {
               count(ctx, "partition.parked_pushes"),
               count(ctx, "partition.quorum_denied_failovers"),
               count(ctx, "net.cross_partition_deliveries"),
-              static_cast<long long>(ctx.cluster->dual_primary_windows()));
+              live(*ctx.cluster, "membership.dual_primary_windows"));
   // The partition contract: the fabric delivers nothing across an active
   // cut, and quorum/fence gating keeps leadership single-headed even
   // while the views disagree.
@@ -252,20 +259,18 @@ void autoscale_setup(DrillContext& ctx) {
 
 void autoscale_audit(DrillContext& ctx, std::vector<std::string>& problems) {
   ps::Cluster& cluster = *ctx.cluster;
+  const long long completed = live(cluster, "scale.drains_completed");
   std::printf("autoscale: %lld drain(s) started, %lld completed, %lld "
               "scale decision(s), %lld shed push(es), %lld dual-primary "
               "window(s)\n",
-              static_cast<long long>(cluster.drains_started()),
-              static_cast<long long>(cluster.drains_completed()),
-              static_cast<long long>(cluster.scale_decisions()),
-              static_cast<long long>(cluster.sheds()),
-              static_cast<long long>(cluster.dual_primary_windows()));
+              live(cluster, "scale.drains_started"), completed,
+              live(cluster, "scale.decisions"), live(cluster, "scale.sheds"),
+              live(cluster, "membership.dual_primary_windows"));
   // The drain contract: live migration behind the commit barrier conserves
   // every contribution — no slice falls short of one advance per round.
   audit_conservation(ctx, "drain", problems);
-  if (cluster.drains_completed() != 1) {
-    problems.push_back("drains_completed = " +
-                       std::to_string(cluster.drains_completed()) +
+  if (completed != 1) {
+    problems.push_back("drains_completed = " + std::to_string(completed) +
                        " (the scheduled leave must retire cleanly; "
                        "expected 1)");
   }
@@ -290,7 +295,7 @@ void autoscale_audit(DrillContext& ctx, std::vector<std::string>& problems) {
   // least one cooldown apart. (The canned drill schedules its leave via
   // the fault plan, so this audit is usually vacuous — it bites when
   // --autoscale is combined with an armed policy loop.)
-  const auto& times = cluster.scale_decision_times();
+  const auto& times = ctx.run->scale_decision_times;
   for (std::size_t i = 1; i < times.size(); ++i) {
     if (times[i] - times[i - 1] < ctx.cfg->autoscaler.cooldown - 1e-9) {
       problems.push_back(
@@ -526,16 +531,16 @@ int main(int argc, char** argv) {
   if (cluster.membership_armed()) {
     std::printf("membership: %lld join(s), %lld migration(s), %lld lease "
                 "renewal(s), %lld dual-primary window(s)\n",
-                static_cast<long long>(cluster.joins_executed()),
-                static_cast<long long>(cluster.migrations()),
-                static_cast<long long>(cluster.lease_renewals()),
-                static_cast<long long>(cluster.dual_primary_windows()));
+                live(cluster, "membership.joins"),
+                live(cluster, "membership.migrations"),
+                live(cluster, "membership.lease_renewals"),
+                live(cluster, "membership.dual_primary_windows"));
     // The lease contract: a successor acts only after the primary's lease
     // expired, so ground truth must never see two overlapping primaries.
-    if (cluster.leases_armed() && cluster.dual_primary_windows() > 0) {
+    const long long dual = live(cluster, "membership.dual_primary_windows");
+    if (cluster.leases_armed() && dual > 0) {
       problems.push_back(
-          "membership.dual_primary_windows = " +
-          std::to_string(cluster.dual_primary_windows()) +
+          "membership.dual_primary_windows = " + std::to_string(dual) +
           " under lease-based leadership (expected 0)");
     }
   }

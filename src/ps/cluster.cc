@@ -88,6 +88,21 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   if (cfg_.update_bytes_per_sec <= 0) {
     throw std::invalid_argument("non-positive update rate");
   }
+  if (cfg_.latency < 0.0) {
+    throw std::invalid_argument("negative network latency");
+  }
+  if (cfg_.rx_bandwidth < 0) {
+    throw std::invalid_argument("negative ingress bandwidth (0 = symmetric)");
+  }
+  if (cfg_.send_overhead < 0.0) {
+    throw std::invalid_argument("negative per-message send overhead");
+  }
+  if (cfg_.update_overhead < 0.0) {
+    throw std::invalid_argument("negative per-round update overhead");
+  }
+  if (cfg_.compute_jitter < 0.0) {
+    throw std::invalid_argument("negative compute jitter");
+  }
   if (cfg_.wire_compression < 1.0) {
     throw std::invalid_argument("compression factor below 1");
   }
@@ -328,58 +343,51 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     workers_.push_back(std::move(ws));
 
     auto ss = std::make_unique<ServerState>(sim_);
-    ss->round_bytes.assign(n_slices, 0);
     ss->version.assign(n_slices, 0);
     ss->pending.resize(n_slices);
-    if (membership_on_) {
-      ss->contrib.assign(n_slices,
-                         std::vector<Bytes>(
-                             static_cast<std::size_t>(n_total_workers()), 0));
-      // A joiner is never waited for until its join handshake opens a
-      // bounded-staleness window (beacons alone must not add it to the
-      // expected set).
-      ss->active_from.assign(
-          n_slices, std::vector<std::int64_t>(
-                        static_cast<std::size_t>(n_total_workers()), 0));
-      for (auto& row : ss->active_from) {
-        for (int j = cfg_.n_workers; j < n_total_workers(); ++j) {
-          row[static_cast<std::size_t>(j)] =
-              std::numeric_limits<std::int64_t>::max();
-        }
-      }
-      ss->sync_epoch.assign(n_slices, -1);
-    }
+    ss->ledger.resize(static_cast<std::size_t>(n_servers()));
+    if (membership_on_) ss->sync_epoch.assign(n_slices, -1);
     ss->rxq_gauge = &registry_.gauge(lane("n", server_node(w), ".rxq_depth"));
     servers_.push_back(std::move(ss));
   }
 
-  if (membership_on_) {
-    MembershipConfig mcfg;
-    mcfg.n_nodes = total_nodes();
-    mcfg.heartbeat_period = cfg_.heartbeat_period;
-    mcfg.suspicion_timeout = cfg_.suspicion_timeout;
-    for (int n = 0; n < total_nodes(); ++n) {
-      membership_.push_back(std::make_unique<Membership>(mcfg, n));
-      for (int j = cfg_.n_workers; j < n_total_workers(); ++j) {
-        membership_.back()->mark_unjoined(j);
-      }
-      if (drift_on_) {
-        // The detector compares node-local clocks against node-local
-        // last-heard stamps; seed the stamps with this node's clock at
-        // sim-time zero so a pure offset never manufactures suspicion.
-        membership_.back()->reset(local_now(n));
-      }
-      leadership_.push_back(std::make_unique<ShardLeadership>(
-          n_servers(), cfg_.replication, n_total_servers()));
-      if (leases_on_) {
-        // Grant the initial leases: every home primary starts with one full
-        // lease of grace before any observer may act on its silence. Lease
-        // deadlines live on the observing node's clock.
-        for (int g = 0; g < n_servers(); ++g) {
-          leadership_.back()->renew_lease(g, local_now(n) + lease_len_);
-        }
+  // Row of each slice inside its group's ledger block.
+  slice_rank_.resize(n_slices);
+  group_slices_.assign(static_cast<std::size_t>(n_servers()), 0);
+  for (std::size_t s = 0; s < n_slices; ++s) {
+    slice_rank_[s] =
+        group_slices_[static_cast<std::size_t>(partition_.slices[s].server)]++;
+  }
+
+  // Views and leadership tables exist in every run; only an armed plane
+  // spawns the heartbeat loops that move them.
+  MembershipConfig mcfg;
+  mcfg.n_nodes = total_nodes();
+  mcfg.heartbeat_period = cfg_.heartbeat_period;
+  mcfg.suspicion_timeout = cfg_.suspicion_timeout;
+  for (int n = 0; n < total_nodes(); ++n) {
+    membership_.push_back(std::make_unique<Membership>(mcfg, n));
+    for (int j = cfg_.n_workers; j < n_total_workers(); ++j) {
+      membership_.back()->mark_unjoined(j);
+    }
+    if (drift_on_) {
+      // The detector compares node-local clocks against node-local
+      // last-heard stamps; seed the stamps with this node's clock at
+      // sim-time zero so a pure offset never manufactures suspicion.
+      membership_.back()->reset(local_now(n));
+    }
+    leadership_.push_back(std::make_unique<ShardLeadership>(
+        n_servers(), cfg_.replication, n_total_servers()));
+    if (leases_on_) {
+      // Grant the initial leases: every home primary starts with one full
+      // lease of grace before any observer may act on its silence. Lease
+      // deadlines live on the observing node's clock.
+      for (int g = 0; g < n_servers(); ++g) {
+        leadership_.back()->renew_lease(g, local_now(n) + lease_len_);
       }
     }
+  }
+  if (membership_on_) {
     ckpt_versions_.assign(static_cast<std::size_t>(n_total_servers()),
                           std::vector<std::int64_t>(n_slices, 0));
     pending_failover_.resize(static_cast<std::size_t>(total_nodes()));
@@ -532,7 +540,6 @@ TimeS Cluster::initial_rto(const net::Message& m) const {
 }
 
 bool Cluster::reachable(int node) const {
-  if (!membership_on_) return true;
   const auto& ns = node_state_[static_cast<std::size_t>(node)];
   if (ns.up) return true;
   // Down but restarting: the retransmission layer bridges the outage.
@@ -682,7 +689,7 @@ void Cluster::maybe_gc_dedup(int node) {
 }
 
 void Cluster::post_tracked(net::Message m) {
-  if (membership_on_ && !reachable(m.dst)) return;  // nobody to deliver to
+  if (!reachable(m.dst)) return;  // nobody to deliver to
   if (reliable_ && m.src != m.dst) {
     arm_reliable(m, -1);
     net_->post(m);
@@ -718,7 +725,6 @@ void Cluster::enqueue_push(int w, std::int64_t slice, std::int64_t iteration,
 
 int Cluster::slice_dst_node(int worker, std::int64_t slice) const {
   const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
-  if (!membership_on_) return server_node(sl.server);
   return server_node(
       leadership_[static_cast<std::size_t>(worker)]->primary(sl.server));
 }
@@ -850,7 +856,7 @@ sim::Task Cluster::worker_sender(int w) {
   for (;;) {
     SendItem item = co_await ws.sendq.pop();
     sendq_depth_changed(w, -1);
-    if (membership_on_ && !node_state_[wn].up) continue;  // dead process
+    if (!node_state_[wn].up) continue;  // dead process
     if (item.retx_id >= 0) {
       // Retransmission: it competed in the priority queue at the original
       // slice priority, so urgent traffic still preempts it under loss.
@@ -952,7 +958,7 @@ sim::Task Cluster::worker_sender(int w) {
       ++parked_pushes_;
       continue;
     }
-    if (membership_on_ && !reachable(m.dst)) continue;
+    if (!reachable(m.dst)) continue;
     if (reliable_ && m.src != m.dst) arm_reliable(m, w);
     ++pushes_sent_;
     // Per-message CPU cost on the sender thread, then a blocking send: the
@@ -995,7 +1001,7 @@ sim::Task Cluster::node_demux(int n) {
   const auto nn = static_cast<std::size_t>(n);
   for (;;) {
     net::Message m = co_await net_->inbox(n).pop();
-    if (membership_on_ && !node_state_[nn].up) continue;  // dead process
+    if (!node_state_[nn].up) continue;  // dead process
     if (m.kind == net::MsgKind::kAck) {
       // Delivery confirmed: retire the sender-side retransmission state
       // and cancel its timer.
@@ -1102,7 +1108,8 @@ sim::Task Cluster::node_demux(int n) {
           const auto& sl = partition_.slices[static_cast<std::size_t>(s)];
           if (lead.primary(sl.server) != server_idx) continue;
           const auto si = static_cast<std::size_t>(s);
-          ss.active_from[si][static_cast<std::size_t>(m.worker)] =
+          const auto wi = static_cast<std::size_t>(m.worker);
+          ledger_row(server_idx, s).active_from[wi] =
               ss.version[si] + cfg_.rejoin_slack;
           send_params(server_idx, s, m.worker);
         }
@@ -1253,7 +1260,6 @@ void Cluster::worker_repush_group(int w, int group) {
 
 bool Cluster::agg_usable(int w, int agg) const {
   if (w == agg) return true;  // the loopback fold is always available
-  if (!membership_on_) return true;
   return node_state_[static_cast<std::size_t>(agg)].joined &&
          reachable(agg) &&
          membership_[static_cast<std::size_t>(w)]->alive(agg);
@@ -1288,12 +1294,9 @@ void Cluster::agg_flush(int agg, std::int64_t slice, std::int64_t iteration) {
   for (const int w : rack_workers_[rack]) {
     const auto cit = round.contrib.find(w);
     if (cit != round.contrib.end() && cit->second >= payload) continue;
-    bool expected = true;
-    if (membership_on_) {
-      expected = node_state_[static_cast<std::size_t>(w)].joined &&
-                 (w == agg ||
-                  membership_[static_cast<std::size_t>(agg)]->alive(w));
-    }
+    const bool expected =
+        node_state_[static_cast<std::size_t>(w)].joined &&
+        (w == agg || membership_[static_cast<std::size_t>(agg)]->alive(w));
     if (expected) return;  // still waiting on a live member
   }
   std::vector<int> cover;
@@ -1364,19 +1367,13 @@ void Cluster::send_rack_params(int server, std::int64_t slice) {
   const int snode = server_node(server);
   for (std::size_t r = 0; r < rack_agg_.size(); ++r) {
     const int agg = rack_agg_[r];
-    bool usable = true;
-    if (membership_on_) {
-      usable = node_state_[static_cast<std::size_t>(agg)].joined &&
-               reachable(agg) &&
-               (agg == snode ||
-                membership_[static_cast<std::size_t>(snode)]->alive(agg));
-    }
+    const bool usable =
+        node_state_[static_cast<std::size_t>(agg)].joined && reachable(agg) &&
+        (agg == snode ||
+         membership_[static_cast<std::size_t>(snode)]->alive(agg));
     if (!usable) {
       for (const int w : rack_workers_[r]) {
-        if (membership_on_ &&
-            !node_state_[static_cast<std::size_t>(w)].joined) {
-          continue;
-        }
+        if (!node_state_[static_cast<std::size_t>(w)].joined) continue;
         send_params(server, slice, w);
       }
       continue;
@@ -1412,8 +1409,7 @@ void Cluster::on_rack_params(int agg, const net::Message& m) {
   const auto rack = static_cast<std::size_t>(node_rack_[agg]);
   for (const int w : rack_workers_[rack]) {
     if (w == agg) continue;
-    if (membership_on_ &&
-        (!node_state_[static_cast<std::size_t>(w)].joined || !reachable(w))) {
+    if (!node_state_[static_cast<std::size_t>(w)].joined || !reachable(w)) {
       continue;
     }
     net::Message fwd = m;
@@ -1434,13 +1430,12 @@ void Cluster::on_rack_params(int agg, const net::Message& m) {
   worker_on_param(agg, self);
 }
 
-std::vector<int> Cluster::push_cover(const net::Message& m) const {
-  if (m.agg_id < 0) return {m.worker};
-  const auto it = agg_cover_.find(m.agg_id);
+std::span<const int> Cluster::push_cover(const net::Message& m) const {
   // A consumed cover can only recur through a delivery the dedup layer
   // somehow missed; crediting the forwarding worker alone is safe (the
   // ledger caps it).
-  if (it == agg_cover_.end()) return {m.worker};
+  const auto it = m.agg_id < 0 ? agg_cover_.end() : agg_cover_.find(m.agg_id);
+  if (it == agg_cover_.end()) return {&m.worker, 1};
   return it->second.workers;
 }
 
@@ -1595,19 +1590,49 @@ void Cluster::send_params(int server, std::int64_t slice, int worker) {
   }
 }
 
+Cluster::LedgerRow Cluster::ledger_row(int server, std::int64_t slice) {
+  const auto si = static_cast<std::size_t>(slice);
+  const auto group = static_cast<std::size_t>(partition_.slices[si].server);
+  const auto nw = static_cast<std::size_t>(n_total_workers());
+  GroupLedger& gl = servers_[static_cast<std::size_t>(server)]->ledger[group];
+  if (gl.contrib.empty()) {
+    const std::size_t cells =
+        static_cast<std::size_t>(group_slices_[group]) * nw;
+    gl.contrib.assign(cells, 0);
+    // A joiner is never waited for until its join handshake opens a
+    // bounded-staleness window (beacons alone must not add it to the
+    // expected set).
+    gl.active_from.assign(cells, 0);
+    for (std::size_t i = 0; i < cells; ++i) {
+      if (i % nw >= static_cast<std::size_t>(cfg_.n_workers)) {
+        gl.active_from[i] = std::numeric_limits<std::int64_t>::max();
+      }
+    }
+  }
+  const std::size_t row = static_cast<std::size_t>(slice_rank_[si]) * nw;
+  return {std::span(gl.contrib).subspan(row, nw),
+          std::span(gl.active_from).subspan(row, nw)};
+}
+
 bool Cluster::round_complete(int server, std::int64_t slice) const {
   const auto& ss = *servers_[static_cast<std::size_t>(server)];
   const auto si = static_cast<std::size_t>(slice);
-  const Bytes payload = partition_.slices[si].payload_bytes();
+  const auto& sl = partition_.slices[si];
+  const GroupLedger& gl = ss.ledger[static_cast<std::size_t>(sl.server)];
+  if (gl.contrib.empty()) return false;  // never touched: an empty round
+  const Bytes payload = sl.payload_bytes();
   const auto& view = *membership_[static_cast<std::size_t>(server_node(server))];
+  const std::size_t row = static_cast<std::size_t>(slice_rank_[si]) *
+                          static_cast<std::size_t>(n_total_workers());
   bool any = false;
   for (int w = 0; w < n_total_workers(); ++w) {
-    const auto wi = static_cast<std::size_t>(w);
-    const bool done = ss.contrib[si][wi] >= payload;
-    any = any || done;
-    const bool expected =
-        view.alive(w) && ss.active_from[si][wi] <= ss.version[si];
-    if (expected && !done) return false;
+    const std::size_t i = row + static_cast<std::size_t>(w);
+    if (gl.contrib[i] >= payload) {
+      any = true;
+      continue;
+    }
+    // A missing payload holds the round only if the worker is expected.
+    if (view.alive(w) && gl.active_from[i] <= ss.version[si]) return false;
   }
   return any;  // never complete an empty round
 }
@@ -1626,8 +1651,7 @@ void Cluster::release_round(int server, std::int64_t slice,
     } else {
       // P3Server: broadcast updated parameters without notify+pull.
       for (int w = 0; w < n_total_workers(); ++w) {
-        if (membership_on_ &&
-            !node_state_[static_cast<std::size_t>(w)].joined) {
+        if (!node_state_[static_cast<std::size_t>(w)].joined) {
           continue;  // elastic joiner not admitted yet
         }
         send_params(server, slice, w);
@@ -1635,10 +1659,7 @@ void Cluster::release_round(int server, std::int64_t slice,
     }
   } else if (!sync_.deferred_pull) {
     for (int w = 0; w < n_total_workers(); ++w) {
-      if (membership_on_ &&
-          !node_state_[static_cast<std::size_t>(w)].joined) {
-        continue;
-      }
+      if (!node_state_[static_cast<std::size_t>(w)].joined) continue;
       net::Message notify;
       notify.src = server_node(server);
       notify.dst = w;
@@ -1751,16 +1772,17 @@ sim::Task Cluster::server_loop(int n) {
   // `n` is the *server index*; its NIC is node server_node(n).
   auto& ss = *servers_[static_cast<std::size_t>(n)];
   const auto node = static_cast<std::size_t>(server_node(n));
+  std::vector<std::int64_t> recheck;  // slices whose round may now complete
   for (;;) {
     RxItem item = co_await ss.rxq.pop();
     rxq_depth_changed(n, -1);
-    if (membership_on_ && !node_state_[node].up) continue;  // dead process
+    if (!node_state_[node].up) continue;  // dead process
     const net::Message& m = item.msg;
 
     // Membership plane: a death notice shrank the expected set (or a
     // takeover re-seeded it); sweep every slice this server leads for
     // rounds that are now completable without the dead workers.
-    std::vector<std::int64_t> recheck;
+    recheck.clear();
     if (m.kind == net::MsgKind::kRecheck) {
       const auto& lead = *leadership_[node];
       for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
@@ -1773,26 +1795,20 @@ sim::Task Cluster::server_loop(int n) {
         m.kind == net::MsgKind::kPushGradient) {
       const auto slice_idx = static_cast<std::size_t>(m.slice);
       const auto& sl = partition_.slices[slice_idx];
-      if (!membership_on_) {
-        if (sl.server != n) {
-          throw std::logic_error("slice routed to wrong server");
-        }
-      } else {
-        if (leadership_[node]->chain_offset(sl.server, n) < 0) {
-          if (!cfg_.faults.joins.empty() || scale_plane_) {
-            // Elastic rebalancing and drain migrations re-derive chains
-            // around the new owner, so a donor dropped from a handed-over
-            // group can still see stragglers addressed under the old
-            // chain: redirect them.
-            redirect_to_leader(n, m);
-            continue;
-          }
-          throw std::logic_error("slice routed outside its replica group");
-        }
-        if (leadership_[node]->primary(sl.server) != n) {
+      if (leadership_[node]->chain_offset(sl.server, n) < 0) {
+        if (!cfg_.faults.joins.empty() || scale_plane_) {
+          // Elastic rebalancing and drain migrations re-derive chains
+          // around the new owner, so a donor dropped from a handed-over
+          // group can still see stragglers addressed under the old
+          // chain: redirect them.
           redirect_to_leader(n, m);
           continue;
         }
+        throw std::logic_error("slice routed outside its replica group");
+      }
+      if (leadership_[node]->primary(sl.server) != n) {
+        redirect_to_leader(n, m);
+        continue;
       }
       if (m.kind == net::MsgKind::kPushGradient && tracing()) {
         lc(obs::Stage::kServerRecv, m.worker, m.slice, m.iteration, m.logical);
@@ -1807,55 +1823,51 @@ sim::Task Cluster::server_loop(int n) {
         continue;
       }
 
-      if (membership_on_) {
-        // Stale push: the round already committed cluster-wide (this is a
-        // post-failover or post-rejoin re-push). Answer with the current
-        // parameters so the sender unblocks — this reply IS the recovery
-        // path for rounds that committed just before a primary died.
-        if (m.iteration + 1 <= ss.version[slice_idx]) {
-          // An aggregated stale push answers every covered worker: each of
-          // them is waiting on parameters this reply is the recovery path
-          // for.
-          for (const int cw : push_cover(m)) {
-            ++stale_pushes_;
-            send_params(n, m.slice, cw);
-          }
-          consume_cover(m);
-          continue;
+      // Stale push: the round already committed cluster-wide (this is a
+      // post-failover or post-rejoin re-push). Answer with the current
+      // parameters so the sender unblocks — this reply IS the recovery
+      // path for rounds that committed just before a primary died.
+      if (m.iteration + 1 <= ss.version[slice_idx]) {
+        // An aggregated stale push answers every covered worker: each of
+        // them is waiting on parameters this reply is the recovery path
+        // for.
+        for (const int cw : push_cover(m)) {
+          ++stale_pushes_;
+          send_params(n, m.slice, cw);
         }
-        // Future push: the sender's params are newer than this replica's
-        // state (possible only when every fresher replica was lost and this
-        // one rehydrated from an old checkpoint). The workers' copies are
-        // the surviving truth: fast-forward to their round.
-        if (m.iteration > ss.version[slice_idx]) {
-          if (dssp_on_) {
-            // Under DSSP a future push is *normal* run-ahead, so it only
-            // proves commitment up to the sender's carried held-params
-            // floor (rounds below `m.version` were released to it) or, as
-            // a fallback, `iteration - s_max` from the forward gate.
-            // Fast-forward to exactly that proven floor (a no-op in
-            // healthy operation); anything still ahead of the shard's round
-            // parks in the future-round buffer after aggregation below.
-            const int s_max = cfg_.staleness.fixed_s >= 0
-                                  ? cfg_.staleness.fixed_s
-                                  : cfg_.staleness.s_max;
-            const std::int64_t proven =
-                std::max(m.version, m.iteration - s_max);
-            if (proven > ss.version[slice_idx]) {
-              ss.version[slice_idx] = proven;
-              ss.round_bytes[slice_idx] = 0;
-              for (auto& c : ss.contrib[slice_idx]) c = 0;
-              // Run-ahead pushes for the newly opened round may already be
-              // parked in the future buffer (they arrived while the shard
-              // lagged behind the proven floor); fold them in now or the
-              // round waits forever for contributions it already holds.
-              dssp_promote(n, m.slice);
-            }
-          } else {
-            ss.version[slice_idx] = m.iteration;
-            ss.round_bytes[slice_idx] = 0;
-            for (auto& c : ss.contrib[slice_idx]) c = 0;
+        consume_cover(m);
+        continue;
+      }
+      // Future push: the sender's params are newer than this replica's
+      // state (possible only when every fresher replica was lost and this
+      // one rehydrated from an old checkpoint). The workers' copies are
+      // the surviving truth: fast-forward to their round.
+      if (m.iteration > ss.version[slice_idx]) {
+        if (dssp_on_) {
+          // Under DSSP a future push is *normal* run-ahead, so it only
+          // proves commitment up to the sender's carried held-params
+          // floor (rounds below `m.version` were released to it) or, as
+          // a fallback, `iteration - s_max` from the forward gate.
+          // Fast-forward to exactly that proven floor (a no-op in
+          // healthy operation); anything still ahead of the shard's round
+          // parks in the future-round buffer after aggregation below.
+          const int s_max = cfg_.staleness.fixed_s >= 0
+                                ? cfg_.staleness.fixed_s
+                                : cfg_.staleness.s_max;
+          const std::int64_t proven =
+              std::max(m.version, m.iteration - s_max);
+          if (proven > ss.version[slice_idx]) {
+            ss.version[slice_idx] = proven;
+            std::ranges::fill(ledger_row(n, m.slice).contrib, 0);
+            // Run-ahead pushes for the newly opened round may already be
+            // parked in the future buffer (they arrived while the shard
+            // lagged behind the proven floor); fold them in now or the
+            // round waits forever for contributions it already holds.
+            dssp_promote(n, m.slice);
           }
+        } else {
+          ss.version[slice_idx] = m.iteration;
+          std::ranges::fill(ledger_row(n, m.slice).contrib, 0);
         }
       }
 
@@ -1865,41 +1877,7 @@ sim::Task Cluster::server_loop(int n) {
       const TimeS t0 = sim_.now();
       co_await sim_.sleep(static_cast<double>(payload) /
                           cfg_.update_bytes_per_sec);
-      if (membership_on_ && !node_state_[node].up) continue;  // died mid-add
-      if (!membership_on_) {
-        if (tracing()) {
-          lc(obs::Stage::kAggregate, m.worker, m.slice, m.iteration, 0);
-        }
-        if (agg_on_ && m.agg_id >= 0) {
-          // A combined push carries one pre-reduced payload standing in for
-          // every covered worker's contribution.
-          ss.round_bytes[slice_idx] +=
-              payload * static_cast<Bytes>(push_cover(m).size());
-          consume_cover(m);
-        } else {
-          ss.round_bytes[slice_idx] += payload;
-        }
-        const Bytes round_target = sl.payload_bytes() * cfg_.n_workers;
-        if (ss.round_bytes[slice_idx] >= round_target) {
-          // All workers contributed: run the optimizer step on the shard.
-          ss.round_bytes[slice_idx] = 0;
-          co_await sim_.sleep(
-              static_cast<double>(sl.payload_bytes()) /
-                  cfg_.update_bytes_per_sec +
-              cfg_.update_overhead);
-          ++ss.version[slice_idx];
-          ++rounds_completed_;
-          if (tracing()) {
-            tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                          "U" + std::to_string(sl.layer + 1));
-          }
-          release_round(n, m.slice, m.iteration);
-        } else if (tracing()) {
-          tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                        "a" + std::to_string(sl.layer + 1));
-        }
-        continue;
-      }
+      if (!node_state_[node].up) continue;  // died mid-add
 
       // DSSP: the version can move during the aggregation sleep (another
       // push's completion loop, or this push's own pre-sleep fast-forward
@@ -1937,14 +1915,15 @@ sim::Task Cluster::server_loop(int n) {
         // for a merge that never comes.
         recheck.push_back(m.slice);
       } else {
-        // Membership path: per-worker contribution ledger, capped at one
-        // payload per worker per round so re-pushed fragments merge exactly
-        // once. An aggregated push credits every covered worker with the
-        // (pre-reduced) payload under the same cap, so a direct re-push that
-        // races a forwarded cover can never double-count.
+        // Per-worker contribution ledger, capped at one payload per worker
+        // per round so re-pushed fragments merge exactly once. An aggregated
+        // push credits every covered worker with the (pre-reduced) payload
+        // under the same cap, so a direct re-push that races a forwarded
+        // cover can never double-count.
         Bytes credited = 0;
+        const std::span<Bytes> row = ledger_row(n, m.slice).contrib;
         for (const int cw : push_cover(m)) {
-          auto& contrib = ss.contrib[slice_idx][static_cast<std::size_t>(cw)];
+          auto& contrib = row[static_cast<std::size_t>(cw)];
           const Bytes room = sl.payload_bytes() - contrib;
           if (room <= 0) continue;
           const Bytes add = std::min(payload, room);
@@ -1998,7 +1977,7 @@ sim::Task Cluster::server_loop(int n) {
                 cfg_.update_bytes_per_sec +
             cfg_.update_overhead);
         if (!node_state_[node].up) break;  // died mid-optimizer-step
-        for (auto& c : ss.contrib[si]) c = 0;
+        std::ranges::fill(ledger_row(n, s).contrib, 0);
         ++ss.version[si];
         ++rounds_completed_;
         // The new round may already be fully funded by buffered run-ahead
@@ -2156,8 +2135,9 @@ void Cluster::dssp_promote(int server, std::int64_t slice) {
       it->first.second != round) {
     return;
   }
+  const std::span<Bytes> row = ledger_row(server, slice).contrib;
   for (const auto& [cw, bytes] : it->second) {
-    auto& contrib = ss.contrib[si][static_cast<std::size_t>(cw)];
+    auto& contrib = row[static_cast<std::size_t>(cw)];
     const Bytes room = sl.payload_bytes() - contrib;
     if (room <= 0) continue;
     contrib += std::min(bytes, room);
@@ -2301,11 +2281,7 @@ void Cluster::takeover_group(int server, int group) {
   // workers re-push on adoption, and rounds that committed before the old
   // primary died are answered from the replicated state (stale-push reply).
   auto& ss = *servers_[static_cast<std::size_t>(server)];
-  for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    if (partition_.slices[si].server != group) continue;
-    for (auto& c : ss.contrib[si]) c = 0;
-  }
+  std::ranges::fill(ss.ledger[static_cast<std::size_t>(group)].contrib, 0);
   announce_primary(server, group, epoch, server);
   // The announcement skips this node, but a colocated worker shares the
   // adopted view and must re-push like every other worker.
@@ -2508,13 +2484,13 @@ void Cluster::finish_migration(const MigrationState& ms) {
   }
   announce_primary(ms.donor, ms.group, epoch, ms.target);
   auto& ss = *servers_[static_cast<std::size_t>(ms.donor)];
+  // Contributions to rounds the donor will never finish die here; the
+  // workers re-push them to the target on adoption (the ledger's per-round
+  // cap keeps the merge exactly-once).
+  std::ranges::fill(ss.ledger[static_cast<std::size_t>(ms.group)].contrib, 0);
   for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
     const auto si = static_cast<std::size_t>(s);
     if (partition_.slices[si].server != ms.group) continue;
-    // Contributions to rounds the donor will never finish die here; the
-    // workers re-push them to the target on adoption (the ledger's per-
-    // round cap keeps the merge exactly-once).
-    for (auto& c : ss.contrib[si]) c = 0;
     auto parked = std::move(ss.pending[si]);
     ss.pending[si].clear();
     for (const auto& p : parked) {
@@ -2571,9 +2547,8 @@ void Cluster::on_beacon(int n, int src, const Membership::BeaconEffect& effect,
       for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
         const auto si = static_cast<std::size_t>(s);
         if (lead.primary(partition_.slices[si].server) != my_server) continue;
-        ss.active_from[si][sw] =
-            std::max(ss.active_from[si][sw],
-                     ss.version[si] + cfg_.rejoin_slack);
+        auto& from = ledger_row(my_server, s).active_from[sw];
+        from = std::max(from, ss.version[si] + cfg_.rejoin_slack);
         leads_any = true;
       }
       if (leads_any) inject_recheck(my_server);
@@ -2965,7 +2940,7 @@ sim::Task Cluster::worker_rejoin(int w, std::int64_t epoch) {
       for (std::int64_t sl = 0; sl < partition_.num_slices(); ++sl) {
         const auto si = static_cast<std::size_t>(sl);
         if (lead.primary(partition_.slices[si].server) != s) continue;
-        ss.active_from[si][wn] = ss.version[si] + cfg_.rejoin_slack;
+        ledger_row(s, sl).active_from[wn] = ss.version[si] + cfg_.rejoin_slack;
         send_params(s, sl, w);
       }
     }
@@ -3036,8 +3011,7 @@ void Cluster::teardown_process_state(int node) {
     }
     rxq_depth_changed(s, static_cast<std::int64_t>(ss.rxq.size()) -
                              ss.rxq_depth);
-    ss.round_bytes.assign(ss.round_bytes.size(), 0);
-    for (auto& row : ss.contrib) std::fill(row.begin(), row.end(), 0);
+    for (auto& gl : ss.ledger) std::ranges::fill(gl.contrib, 0);
     for (auto& p : ss.pending) p.clear();
     // Buffered run-ahead contributions are server memory; workers re-push
     // their whole outstanding window when leadership moves.
@@ -3685,10 +3659,6 @@ void Cluster::drain() {
 
 std::int64_t Cluster::slice_version(std::int64_t slice) const {
   const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
-  if (!membership_on_) {
-    return servers_[static_cast<std::size_t>(sl.server)]
-        ->version[static_cast<std::size_t>(slice)];
-  }
   // Replicated shard: the authoritative version lives at whichever replica
   // is furthest ahead (the current leader; backups trail by in-flight
   // replication only).

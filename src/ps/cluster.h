@@ -55,6 +55,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -312,66 +313,26 @@ class Cluster {
     return dedup_floor_[static_cast<std::size_t>(node)];
   }
   Bytes goodput_bytes() const { return goodput_bytes_.value(); }
-  // Membership-plane introspection (null/zero while disarmed).
+  // Membership-plane introspection. The plane's state (liveness views,
+  // leadership tables, the contribution ledger) exists in every run; this
+  // flag says whether the plane *runs*: heartbeats, failover, recovery.
+  // Every other plane counter is in metrics() (docs/OBSERVABILITY.md).
   bool membership_armed() const { return membership_on_; }
   bool node_up(int node) const {
     return node_state_[static_cast<std::size_t>(node)].up;
   }
-  std::int64_t crashes_executed() const { return crashes_.value(); }
-  std::int64_t restarts_executed() const { return restarts_.value(); }
-  std::int64_t failovers() const { return failovers_.value(); }
-  std::int64_t worker_rejoins() const { return worker_rejoins_.value(); }
-  std::int64_t rehydrations() const { return rehydrations_.value(); }
-  std::int64_t checkpoints_written() const {
-    return checkpoints_written_.value();
-  }
   std::int64_t heartbeats_sent() const { return heartbeats_sent_.value(); }
-  // Elastic scale-out + lease introspection (zero while disarmed).
   bool leases_armed() const { return leases_on_; }
-  std::int64_t joins_executed() const { return joins_.value(); }
-  std::int64_t migrations() const { return migrations_.value(); }
-  std::int64_t lease_renewals() const { return lease_renewals_.value(); }
-  std::int64_t lease_expiries() const { return lease_expiries_.value(); }
-  std::int64_t dual_primary_windows() const {
-    return dual_primary_windows_.value();
-  }
-  std::int64_t supersessions() const { return supersessions_.value(); }
-  // Partition-plane introspection (zero/false while disarmed).
   bool partition_plane_armed() const { return partition_plane_; }
   bool clock_drift_armed() const { return drift_on_; }
-  std::int64_t parked_pushes() const { return parked_pushes_.value(); }
-  std::int64_t quorum_denied_failovers() const {
-    return quorum_denied_failovers_.value();
-  }
-  // Rack-hierarchy introspection (zero/false on a flat topology).
   bool hierarchy_armed() const { return hierarchy_on_; }
   bool rack_aggregation_armed() const { return agg_on_; }
-  std::int64_t agg_combined_pushes() const {
-    return agg_combined_pushes_.value();
-  }
-  std::int64_t agg_param_broadcasts() const {
-    return agg_param_broadcasts_.value();
-  }
-  std::int64_t agg_fallback_pushes() const {
-    return agg_fallback_pushes_.value();
-  }
-  // Autoscaler / drain introspection (zero/false while disarmed).
   bool scale_plane_armed() const { return scale_plane_; }
   bool node_draining(int node) const {
     return node_state_[static_cast<std::size_t>(node)].draining;
   }
   bool node_retired(int node) const {
     return node_state_[static_cast<std::size_t>(node)].retired;
-  }
-  std::int64_t drains_started() const { return drains_started_.value(); }
-  std::int64_t drains_completed() const { return drains_completed_.value(); }
-  std::int64_t scale_decisions() const { return scale_decisions_.value(); }
-  std::int64_t sheds() const { return sheds_.value(); }
-  std::int64_t slo_violation_ticks() const {
-    return slo_violation_ticks_.value();
-  }
-  const std::vector<TimeS>& scale_decision_times() const {
-    return scale_decision_times_;
   }
   // DSSP staleness-gate introspection (zero/false unless method == kDSSP).
   bool dssp_armed() const { return dssp_on_; }
@@ -394,7 +355,7 @@ class Cluster {
     return fenced_[static_cast<std::size_t>(server_node(server))].count(
                group) > 0;
   }
-  /// Local liveness view of `node` (membership plane must be armed).
+  /// Local liveness view of `node` (all-alive unless the plane is armed).
   const Membership& membership_view(int node) const {
     return *membership_[static_cast<std::size_t>(node)];
   }
@@ -501,26 +462,31 @@ class Cluster {
     sim::TimerId timer;   ///< the retransmit timer; at most one is live
   };
 
+  /// One server's contribution ledger for one shard group, flat over
+  /// [slice rank in the group x worker] (Cluster::slice_rank_ maps a slice to
+  /// its row). Empty until the server first touches the group, so a run
+  /// without leadership changes holds only each server's home group.
+  struct GroupLedger {
+    /// Bytes each worker contributed to the slice's current round, capped at
+    /// the slice payload: completion re-evaluates against the live expected
+    /// set, and re-pushes merge exactly once.
+    std::vector<Bytes> contrib;
+    /// Round index from which each worker is *expected* (waited for);
+    /// earlier rounds complete without it.
+    std::vector<std::int64_t> active_from;
+  };
+
   struct ServerState {
     explicit ServerState(sim::Simulator& sim) : rxq(sim) {}
     sim::PriorityQueue<RxItem, RxOrder> rxq;
     std::int64_t rx_seq = 0;
     std::int64_t rxq_depth = 0;          ///< items queued right now
     obs::Gauge* rxq_gauge = nullptr;     ///< registry view of rxq_depth
-    std::vector<Bytes> round_bytes;            // per slice
     std::vector<std::int64_t> version;         // per slice
     std::vector<std::vector<PendingPull>> pending;  // per slice
-    // Membership plane only:
-    /// Per-slice per-worker bytes contributed to the current round —
-    /// replaces the single `round_bytes` counter so completion can be
-    /// re-evaluated against the live expected set and re-pushes merge
-    /// exactly once (capped at the slice payload per worker per round).
-    std::vector<std::vector<Bytes>> contrib;
-    /// Per-slice per-worker round index from which the worker is *expected*
-    /// (waited for); earlier rounds complete without it.
-    std::vector<std::vector<std::int64_t>> active_from;
-    /// Node epoch at the last kSyncData receipt per slice (rehydration
-    /// completion tracking; -1 = never).
+    std::vector<GroupLedger> ledger;           // per group
+    /// Membership plane only: node epoch at the last kSyncData receipt per
+    /// slice (rehydration completion tracking; -1 = never).
     std::vector<std::int64_t> sync_epoch;
   };
 
@@ -682,6 +648,17 @@ class Cluster {
   void maybe_pull_layer(int w, int layer);
   /// The node a worker should address for `slice` (its view's leader).
   int slice_dst_node(int worker, std::int64_t slice) const;
+  /// One slice's rows of a GroupLedger, one entry per worker.
+  struct LedgerRow {
+    std::span<Bytes> contrib;
+    std::span<std::int64_t> active_from;
+  };
+  /// `server`'s ledger rows for `slice`. The group's block is allocated on
+  /// first touch: nothing contributed, base workers expected from round 0,
+  /// joiners never until a join handshake opens their window.
+  LedgerRow ledger_row(int server, std::int64_t slice);
+  /// Every expected worker contributed its full payload, and someone did.
+  /// False for a group `server` has never touched.
   bool round_complete(int server, std::int64_t slice) const;
   void commit_round(int server, std::int64_t slice, std::int64_t round);
   void release_round(int server, std::int64_t slice, std::int64_t round);
@@ -826,8 +803,8 @@ class Cluster {
   /// Aggregator re-broadcast of a kRackParams fragment to its rack members.
   void on_rack_params(int agg, const net::Message& m);
   /// Workers an incoming push credits: the cover of an aggregated push, or
-  /// the single originating worker.
-  std::vector<int> push_cover(const net::Message& m) const;
+  /// the single originating worker. Valid until consume_cover(m).
+  std::span<const int> push_cover(const net::Message& m) const;
   /// Retire `m.logical` bytes of the cover; erased once fully consumed.
   void consume_cover(const net::Message& m);
   /// Observer worker `w` saw its rack aggregator die: folds held there died
@@ -933,11 +910,16 @@ class Cluster {
   static constexpr std::size_t kDedupGcThreshold = 4096;
   Rng rto_rng_{0};  ///< consumed only when rto_jitter > 0
 
-  // Membership plane (sized only when armed).
+  // Membership plane. Views and leadership exist in every run; with the
+  // plane disarmed nothing drives them, so every view stays all-alive and
+  // every group keeps its home primary. The rest is sized only when armed.
   bool membership_on_ = false;
   std::vector<NodeState> node_state_;
   std::vector<std::unique_ptr<Membership>> membership_;    // per node
   std::vector<std::unique_ptr<ShardLeadership>> leadership_;  // per node
+  /// Per slice: its row in a GroupLedger block (rank within its group).
+  std::vector<std::int64_t> slice_rank_;
+  std::vector<std::int64_t> group_slices_;  ///< per group: slice count
   std::unordered_map<std::int64_t, std::int64_t> replicate_wait_;  // msg->key
   std::unordered_map<std::int64_t, CommitState> commits_;  // key -> barrier
   std::vector<std::vector<std::int64_t>> ckpt_versions_;   // per server "disk"

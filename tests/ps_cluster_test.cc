@@ -245,6 +245,40 @@ TEST(ClusterProtocol, InvalidConfigsThrow) {
   EXPECT_THROW(Cluster(small_workload(), bad_rate), std::invalid_argument);
 }
 
+TEST(ClusterProtocol, NegativeTimingAndRatesThrow) {
+  // Each of these used to be accepted: negative send overhead, jitter and
+  // ingress rate were silently read as zero or symmetric, and a negative
+  // update overhead surfaced mid-run as a negative event delay.
+  const auto throws = [](auto&& mutate) {
+    ClusterConfig cfg = small_config(SyncMethod::kP3);
+    mutate(cfg);
+    EXPECT_THROW(Cluster(small_workload(), cfg), std::invalid_argument);
+  };
+  throws([](ClusterConfig& c) { c.latency = -us(1); });
+  throws([](ClusterConfig& c) { c.rx_bandwidth = -gbps(1); });
+  throws([](ClusterConfig& c) { c.send_overhead = -us(1); });
+  throws([](ClusterConfig& c) { c.update_overhead = -us(1); });
+  throws([](ClusterConfig& c) { c.compute_jitter = -0.1; });
+  // Zero stays legal for every one of them.
+  ClusterConfig zero = small_config(SyncMethod::kP3);
+  zero.latency = 0.0;
+  zero.rx_bandwidth = 0;
+  zero.send_overhead = 0.0;
+  zero.update_overhead = 0.0;
+  zero.compute_jitter = 0.0;
+  Cluster cluster(small_workload(), zero);
+  EXPECT_GT(cluster.run(0, 1).throughput, 0.0);
+}
+
+TEST(ClusterProtocol, PlainRunValidatesMembershipTiming) {
+  // Every run holds the membership plane's views, so their timing is
+  // checked even in a run that never arms the plane.
+  ClusterConfig cfg = small_config(SyncMethod::kP3);
+  ASSERT_FALSE(Cluster(small_workload(), cfg).membership_armed());
+  cfg.heartbeat_period = 0.0;
+  EXPECT_THROW(Cluster(small_workload(), cfg), std::invalid_argument);
+}
+
 TEST(ClusterProtocol, RunIsSingleUse) {
   Cluster cluster(small_workload(), small_config(SyncMethod::kP3));
   cluster.run(0, 1);

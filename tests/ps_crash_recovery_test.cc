@@ -276,7 +276,8 @@ TEST(CrashRecovery, ReplicationAloneArmsPlaneAndStaysConvergent) {
   cluster.drain();
   EXPECT_TRUE(cluster.membership_armed());
   expect_recovered(cluster, 4, iterations, {0, 1, 2, 3});
-  EXPECT_EQ(cluster.failovers(), 0);
+  EXPECT_EQ(cluster.metrics().at<obs::Counter>("recovery.failovers").value(),
+            0);
   EXPECT_TRUE(cluster.simulator().idle());
 }
 

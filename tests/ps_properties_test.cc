@@ -6,6 +6,7 @@
 // drop, duplicate or misroute them.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "model/zoo.h"
@@ -25,16 +26,15 @@ model::Workload mixed_workload() {
   return w;
 }
 
-class ProtocolSpace
-    : public ::testing::TestWithParam<
-          std::tuple<std::int64_t /*slice*/, Bytes /*fragment*/,
-                     double /*latency_us*/, double /*compression*/>> {};
-
-TEST_P(ProtocolSpace, P3ConservesEverything) {
-  const auto [slice, fragment, latency_us, compression] = GetParam();
+// Every assertion here must hold for every synchronization method: a
+// server completes a round only once each worker's full payload arrived,
+// however the pushes were fragmented or compressed on the wire.
+void expect_conserves_everything(SyncMethod method, std::int64_t slice,
+                                 Bytes fragment, double latency_us,
+                                 double compression) {
   ClusterConfig cfg;
   cfg.n_workers = 3;
-  cfg.method = SyncMethod::kP3;
+  cfg.method = method;
   cfg.bandwidth = gbps(1);
   cfg.slice_params = slice;
   cfg.fragment_bytes = fragment;
@@ -64,18 +64,60 @@ TEST_P(ProtocolSpace, P3ConservesEverything) {
   EXPECT_EQ(part.total_params(), mixed_workload().model.total_params());
 }
 
+const auto kSlices = ::testing::Values<std::int64_t>(7'000, 50'000, 400'000);
+const auto kFragments = ::testing::Values<Bytes>(kib(64), gib(1));
+const auto kLatenciesUs = ::testing::Values(0.0, 250.0);
+const auto kCompressions = ::testing::Values(1.0, 32.0);
+
+std::string space_name(std::int64_t slice, Bytes fragment, double latency_us,
+                       double compression) {
+  return "s" + std::to_string(slice) + "_f" + std::to_string(fragment) +
+         "_l" + std::to_string(static_cast<int>(latency_us)) + "_c" +
+         std::to_string(static_cast<int>(compression));
+}
+
+class ProtocolSpace
+    : public ::testing::TestWithParam<
+          std::tuple<std::int64_t /*slice*/, Bytes /*fragment*/,
+                     double /*latency_us*/, double /*compression*/>> {};
+
+TEST_P(ProtocolSpace, P3ConservesEverything) {
+  const auto [slice, fragment, latency_us, compression] = GetParam();
+  expect_conserves_everything(SyncMethod::kP3, slice, fragment, latency_us,
+                              compression);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SliceFragmentLatencyCompression, ProtocolSpace,
-    ::testing::Combine(::testing::Values<std::int64_t>(7'000, 50'000, 400'000),
-                       ::testing::Values<Bytes>(kib(64), gib(1)),
-                       ::testing::Values(0.0, 250.0),
-                       ::testing::Values(1.0, 32.0)),
+    ::testing::Combine(kSlices, kFragments, kLatenciesUs, kCompressions),
     [](const auto& info) {
-      return "s" + std::to_string(std::get<0>(info.param)) + "_f" +
-             std::to_string(std::get<1>(info.param)) + "_l" +
-             std::to_string(static_cast<int>(std::get<2>(info.param))) +
-             "_c" +
-             std::to_string(static_cast<int>(std::get<3>(info.param)));
+      return std::apply(space_name, info.param);
+    });
+
+// The same space for the other methods (P3 is ProtocolSpace above).
+class MethodProtocolSpace
+    : public ::testing::TestWithParam<
+          std::tuple<SyncMethod, std::int64_t /*slice*/, Bytes /*fragment*/,
+                     double /*latency_us*/, double /*compression*/>> {};
+
+TEST_P(MethodProtocolSpace, ConservesEverything) {
+  const auto [method, slice, fragment, latency_us, compression] = GetParam();
+  expect_conserves_everything(method, slice, fragment, latency_us,
+                              compression);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MethodSliceFragmentLatencyCompression, MethodProtocolSpace,
+    ::testing::Combine(::testing::Values(SyncMethod::kBaseline,
+                                         SyncMethod::kSlicingOnly,
+                                         SyncMethod::kTensorFlowStyle,
+                                         SyncMethod::kPoseidonWFBP),
+                       kSlices, kFragments, kLatenciesUs, kCompressions),
+    [](const auto& info) {
+      const auto& p = info.param;
+      return core::sync_method_name(std::get<0>(p)) + "_" +
+             space_name(std::get<1>(p), std::get<2>(p), std::get<3>(p),
+                        std::get<4>(p));
     });
 
 class BandwidthMethodSpace
