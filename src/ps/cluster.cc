@@ -10,6 +10,11 @@
 namespace p3::ps {
 namespace {
 
+/// Retransmission timeout multiplier per expiry (capped at max_rto).
+constexpr double kRtoBackoff = 2.0;
+/// Simulated stable-storage write/read rate for checkpoints.
+constexpr double kCheckpointBytesPerSec = 4e9;
+
 std::string lane(const char* prefix, int node, const char* suffix) {
   return std::string(prefix) + std::to_string(node) + suffix;
 }
@@ -109,9 +114,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   if (cfg_.min_rto <= 0.0) {
     throw std::invalid_argument("non-positive retransmission timeout");
   }
-  if (cfg_.rto_backoff < 1.0) {
-    throw std::invalid_argument("retransmission backoff below 1");
-  }
   if (cfg_.fixed_rto < 0.0) {
     throw std::invalid_argument("negative retransmission timeout");
   }
@@ -126,9 +128,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   }
   if (cfg_.checkpoint_period < 0.0) {
     throw std::invalid_argument("negative checkpoint period");
-  }
-  if (cfg_.checkpoint_bytes_per_sec <= 0.0) {
-    throw std::invalid_argument("non-positive checkpoint rate");
   }
   if (cfg_.rejoin_slack < 0) {
     throw std::invalid_argument("negative rejoin slack");
@@ -240,8 +239,8 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   net_cfg.topology = cfg_.topology;  // validated by the network constructor
   net_ = std::make_unique<net::Network>(sim_, total_nodes(), net_cfg);
 
-  // Rack-scale hierarchy: both planes arm only when configured, so flat
-  // runs post the exact pre-hierarchy event sequence.
+  // Rack-scale hierarchy: the rack tables exist whenever a topology is
+  // active; rack aggregation only decides where pushes are routed.
   hierarchy_on_ = cfg_.topology.active();
   agg_on_ = cfg_.rack_aggregation;
   if (hierarchy_on_) {
@@ -257,10 +256,11 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
         if (node < n_total_workers()) rack_workers_[rr].push_back(node);
       }
     }
+    rack_group_push_bytes_.assign(
+        static_cast<std::size_t>(n_racks),
+        std::vector<double>(static_cast<std::size_t>(n_servers()), 0.0));
   }
-  if (agg_on_) {
-    agg_rounds_.resize(static_cast<std::size_t>(total_nodes()));
-  }
+  agg_rounds_.resize(static_cast<std::size_t>(total_nodes()));
 
   cfg_.faults.validate(cfg_.dedicated_servers ? 2 * cfg_.n_workers
                                               : cfg_.n_workers,
@@ -270,46 +270,41 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
         cfg_.faults, cfg_.seed ^ 0xfa0175eedULL);
     net_->attach_faults(faults_.get());
   }
-  // The ack/retransmit/dedup layer arms itself exactly when something can
-  // go wrong (or when forced); a fault-free run posts the pre-reliability
-  // event sequence bit for bit.
+  // The ack/retransmit/dedup layer runs exactly when something can go wrong
+  // or `reliable_transport` forces it; its dedup tables exist in every run.
   reliable_ = cfg_.faults.active() || cfg_.reliable_transport;
   seen_.resize(static_cast<std::size_t>(total_nodes()));
   dedup_floor_.assign(static_cast<std::size_t>(total_nodes()), 0);
   rto_rng_ = Rng(cfg_.seed ^ 0x9e3779b97f4a7c15ULL);
 
-  // The membership plane (heartbeats, replication, failover, rejoin) arms
-  // exactly when a crash is planned, shards are replicated, or a test
-  // forces it — otherwise nothing new is spawned and runs stay
-  // bit-identical to the pre-membership engine.
-  // DSSP always arms it: the staleness gate's liveness contract leans on
-  // membership views (dead stragglers and minority-fenced workers leave the
-  // min-clock through suspicion / quorum, never by fiat).
+  // Every plane's state is sized below in every run; these flags only
+  // decide which loops run and which paths messages take (PROTOCOL.md,
+  // "Plane state and plane flags"). The membership plane (heartbeats,
+  // replication, failover, rejoin) runs when a crash, join, leave or lease
+  // is planned, shards are replicated, or the autoscaler is on. DSSP always
+  // runs it: the staleness gate's liveness contract leans on membership
+  // views (dead stragglers and minority-fenced workers leave the min-clock
+  // through suspicion / quorum, never by fiat).
   dssp_on_ = cfg_.method == core::SyncMethod::kDSSP;
-  membership_on_ = cfg_.force_membership || cfg_.replication > 1 ||
-                   !cfg_.faults.crashes.empty() ||
+  membership_on_ = cfg_.replication > 1 || !cfg_.faults.crashes.empty() ||
                    !cfg_.faults.joins.empty() ||
                    !cfg_.faults.leaves.empty() || cfg_.autoscaler.enabled ||
                    cfg_.faults.lease_duration.has_value() || dssp_on_;
-  leases_on_ = membership_on_ && cfg_.faults.lease_duration.has_value();
-  lease_len_ = leases_on_ ? *cfg_.faults.lease_duration : 0.0;
-  // Partition degraded mode (parking, echo-gated self-leases, quorum-gated
-  // fencing, heal re-admission) arms only when partitions are planned, so
-  // every partition-free run keeps the exact pre-partition event sequence.
+  leases_on_ = cfg_.faults.lease_duration.has_value();  // arms membership
+  lease_len_ = cfg_.faults.lease_duration.value_or(0.0);
+  // Partition degraded mode: parking, echo-gated self-leases, quorum-gated
+  // fencing, heal re-admission.
   partition_plane_ = membership_on_ && !cfg_.faults.partitions.empty();
-  // Per-node clock drift: rates and offsets are sampled from a dedicated
-  // seeded stream only when armed — skew-free runs consume no randomness.
-  drift_on_ = membership_on_ && cfg_.faults.skewed();
-  if (drift_on_) {
-    Rng drift_rng(cfg_.seed ^ 0xc10cd1f7ab5eedULL);
-    clock_rate_.resize(static_cast<std::size_t>(total_nodes()));
-    clock_offset_.resize(static_cast<std::size_t>(total_nodes()));
-    for (int n = 0; n < total_nodes(); ++n) {
-      clock_rate_[static_cast<std::size_t>(n)] =
-          cfg_.faults.clock_drift_rate * (2.0 * drift_rng.uniform() - 1.0);
-      clock_offset_[static_cast<std::size_t>(n)] =
-          cfg_.faults.clock_offset_bound * (2.0 * drift_rng.uniform() - 1.0);
-    }
+  // Per-node clock drift, from a dedicated seeded stream. Both factors are
+  // zero unless the plan is skewed, so local_now() is then exactly now().
+  Rng drift_rng(cfg_.seed ^ 0xc10cd1f7ab5eedULL);
+  clock_rate_.resize(static_cast<std::size_t>(total_nodes()));
+  clock_offset_.resize(static_cast<std::size_t>(total_nodes()));
+  for (int n = 0; n < total_nodes(); ++n) {
+    clock_rate_[static_cast<std::size_t>(n)] =
+        cfg_.faults.clock_drift_rate * (2.0 * drift_rng.uniform() - 1.0);
+    clock_offset_[static_cast<std::size_t>(n)] =
+        cfg_.faults.clock_offset_bound * (2.0 * drift_rng.uniform() - 1.0);
   }
   node_state_.resize(static_cast<std::size_t>(total_nodes()));
   // Elastic joiners exist as dark nodes until their NodeJoin executes.
@@ -370,65 +365,53 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     for (int j = cfg_.n_workers; j < n_total_workers(); ++j) {
       membership_.back()->mark_unjoined(j);
     }
-    if (drift_on_) {
-      // The detector compares node-local clocks against node-local
-      // last-heard stamps; seed the stamps with this node's clock at
-      // sim-time zero so a pure offset never manufactures suspicion.
-      membership_.back()->reset(local_now(n));
-    }
+    // The detector compares node-local clocks against node-local
+    // last-heard stamps; seed the stamps with this node's clock at
+    // sim-time zero so a pure offset never manufactures suspicion.
+    membership_.back()->reset(local_now(n));
     leadership_.push_back(std::make_unique<ShardLeadership>(
         n_servers(), cfg_.replication, n_total_servers()));
-    if (leases_on_) {
-      // Grant the initial leases: every home primary starts with one full
-      // lease of grace before any observer may act on its silence. Lease
-      // deadlines live on the observing node's clock.
-      for (int g = 0; g < n_servers(); ++g) {
-        leadership_.back()->renew_lease(g, local_now(n) + lease_len_);
-      }
+    // Grant the initial leases: every home primary starts with one full
+    // lease of grace before any observer may act on its silence. Lease
+    // deadlines live on the observing node's clock.
+    for (int g = 0; g < n_servers(); ++g) {
+      leadership_.back()->renew_lease(g, local_now(n) + lease_len_);
     }
   }
+  // Disk snapshots stay armed-only: n_servers x n_slices versions.
   if (membership_on_) {
     ckpt_versions_.assign(static_cast<std::size_t>(n_total_servers()),
                           std::vector<std::int64_t>(n_slices, 0));
-    pending_failover_.resize(static_cast<std::size_t>(total_nodes()));
-    fenced_.resize(static_cast<std::size_t>(total_nodes()));
-    // Optimistic self-leases (as if a chain-peer beacon arrived at t = 0),
-    // mirroring the detector's optimistic start.
-    self_lease_.resize(static_cast<std::size_t>(total_nodes()));
-    for (int n = 0; n < total_nodes(); ++n) {
-      self_lease_[static_cast<std::size_t>(n)].assign(
-          static_cast<std::size_t>(n_servers()),
-          local_now(n) + lease_len_ / 2.0);
-    }
-    if (partition_plane_) {
-      parked_.resize(static_cast<std::size_t>(n_total_workers()));
-      quorum_denied_.resize(static_cast<std::size_t>(total_nodes()));
-    }
-    acting_.assign(
-        static_cast<std::size_t>(n_total_servers()),
-        std::vector<Acting>(static_cast<std::size_t>(n_servers())));
-    for (int g = 0; g < n_servers(); ++g) {
-      // Home primaries act from the start (not counted as dual windows).
-      auto& a = acting_[static_cast<std::size_t>(g)][static_cast<std::size_t>(g)];
-      a.open = true;
-      a.since = 0.0;
-    }
   }
+  pending_failover_.resize(static_cast<std::size_t>(total_nodes()));
+  fenced_.resize(static_cast<std::size_t>(total_nodes()));
+  quorum_denied_.resize(static_cast<std::size_t>(total_nodes()));
+  // Optimistic self-leases (as if a chain-peer beacon arrived at t = 0),
+  // mirroring the detector's optimistic start.
+  self_lease_.resize(static_cast<std::size_t>(total_nodes()));
+  for (int n = 0; n < total_nodes(); ++n) {
+    self_lease_[static_cast<std::size_t>(n)].assign(
+        static_cast<std::size_t>(n_servers()), local_now(n) + lease_len_ / 2.0);
+  }
+  acting_.assign(static_cast<std::size_t>(n_total_servers()),
+                 std::vector<Acting>(static_cast<std::size_t>(n_servers())));
+  for (int g = 0; g < n_servers(); ++g) {
+    // Home primaries act from the start (not counted as dual windows).
+    auto& a = acting_[static_cast<std::size_t>(g)][static_cast<std::size_t>(g)];
+    a.open = true;
+    a.since = 0.0;
+  }
+  parked_.resize(static_cast<std::size_t>(n_total_workers()));
 
-  // Voluntary drain + SLO-driven autoscaling: the scale plane arms only
-  // when leaves are planned or the policy is enabled, so every
-  // fixed-membership run keeps the exact pre-autoscaler event sequence.
+  // Voluntary drain + SLO-driven autoscaling: planned leaves or an enabled
+  // policy run the drain and admission machinery.
   scale_plane_ = membership_on_ && (!cfg_.faults.leaves.empty() ||
                                     cfg_.autoscaler.enabled);
-  if (scale_plane_) {
-    group_push_bytes_.assign(static_cast<std::size_t>(n_servers()), 0.0);
-    if (hierarchy_on_) {
-      rack_group_push_bytes_.assign(
-          static_cast<std::size_t>(cfg_.topology.n_racks()),
-          std::vector<double>(static_cast<std::size_t>(n_servers()), 0.0));
-    }
-    shed_parked_.resize(static_cast<std::size_t>(n_total_workers()));
-    standby_next_ = cfg_.n_workers + static_cast<int>(cfg_.faults.joins.size());
+  group_push_bytes_.assign(static_cast<std::size_t>(n_servers()), 0.0);
+  shed_parked_.resize(static_cast<std::size_t>(n_total_workers()));
+  if (cfg_.autoscaler.enabled) {
+    standby_next_ =
+        cfg_.n_workers + static_cast<int>(cfg_.faults.joins.size());
     // Shedding targets the bottom half of the priority range (higher value
     // = less urgent). With a flat priority space there is nothing "lowest"
     // to shed and the cutoff disables shedding.
@@ -437,36 +420,31 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
       max_prio = std::max(max_prio, item_priority(s));
     }
     shed_cutoff_ = max_prio / 2 + 1;
-    if (cfg_.autoscaler.enabled) {
-      AutoscalerConfig acfg = cfg_.autoscaler;
-      if (acfg.queue_gauges.empty()) {
-        for (int w = 0; w < n_total_workers(); ++w) {
-          acfg.queue_gauges.push_back(lane("w", w, ".sendq_depth"));
-        }
-        for (int n = 0; n < total_nodes(); ++n) {
-          acfg.queue_gauges.push_back(lane("n", n, ".rxq_depth"));
-        }
+    AutoscalerConfig acfg = cfg_.autoscaler;
+    if (acfg.queue_gauges.empty()) {
+      for (int w = 0; w < n_total_workers(); ++w) {
+        acfg.queue_gauges.push_back(lane("w", w, ".sendq_depth"));
       }
-      autoscaler_ = std::make_unique<Autoscaler>(acfg, &registry_);
+      for (int n = 0; n < total_nodes(); ++n) {
+        acfg.queue_gauges.push_back(lane("n", n, ".rxq_depth"));
+      }
     }
+    autoscaler_ = std::make_unique<Autoscaler>(acfg, &registry_);
   }
 
-  // DSSP bounded-staleness gate: state, controller and clock-gap gauges
-  // exist only for the DSSP method, so every other method keeps the exact
-  // pre-DSSP event sequence.
+  // DSSP bounded-staleness gate. The controller, the gate and the clock-gap
+  // gauges (registry rows) exist only for the DSSP method.
+  dssp_clock_.assign(static_cast<std::size_t>(n_total_workers()), -1);
+  dssp_blocked_.assign(static_cast<std::size_t>(n_total_workers()), false);
+  dssp_need_.assign(static_cast<std::size_t>(n_total_workers()), 0);
+  dssp_future_.resize(static_cast<std::size_t>(n_total_servers()));
   if (dssp_on_) {
     staleness_ = std::make_unique<StalenessController>(cfg_.staleness);
     dssp_gate_ = std::make_unique<sim::VersionGate>(sim_);
-    dssp_clock_.assign(static_cast<std::size_t>(n_total_workers()), -1);
-    dssp_blocked_.assign(static_cast<std::size_t>(n_total_workers()), false);
-    dssp_need_.assign(static_cast<std::size_t>(n_total_workers()), 0);
-    dssp_future_.resize(static_cast<std::size_t>(n_total_servers()));
     for (int w = 0; w < n_total_workers(); ++w) {
       dssp_gap_gauge_.push_back(
           &registry_.gauge(lane("w", w, ".dssp_clock_gap")));
     }
-  } else {
-    dssp_clock_.assign(static_cast<std::size_t>(n_total_workers()), -1);
   }
 }
 
@@ -607,7 +585,7 @@ void Cluster::on_retx_timeout(std::int64_t msg_id) {
   PendingTx& pending = it->second;
   // Exponential backoff to a bounded ceiling: a node down for seconds keeps
   // being probed at max_rto rate instead of the timer doubling away.
-  pending.rto = std::min(pending.rto * cfg_.rto_backoff, cfg_.max_rto);
+  pending.rto = std::min(pending.rto * kRtoBackoff, cfg_.max_rto);
   if (pending.via_worker >= 0) {
     pending.queued = true;
     auto& ws = *workers_[static_cast<std::size_t>(pending.via_worker)];
@@ -700,10 +678,13 @@ void Cluster::post_tracked(net::Message m) {
 }
 
 void Cluster::enqueue_push(int w, std::int64_t slice, std::int64_t iteration,
-                           bool direct) {
+                           bool direct, std::int64_t agg_id) {
   auto& ws = *workers_[static_cast<std::size_t>(w)];
   const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
-  ws.last_push_iter[static_cast<std::size_t>(slice)] = iteration;
+  // Only the worker's own pushes drive its re-push bookkeeping.
+  if (agg_id < 0) {
+    ws.last_push_iter[static_cast<std::size_t>(slice)] = iteration;
+  }
   Bytes remaining = sl.payload_bytes();
   // Fragment large shards (ps-lite serialization); each fragment is a
   // separate message, so priority preemption also works mid-layer.
@@ -716,6 +697,7 @@ void Cluster::enqueue_push(int w, std::int64_t slice, std::int64_t iteration,
     item.priority = item_priority(slice);
     item.seq = ws.send_seq++;
     item.direct = direct;
+    item.agg_id = agg_id;
     ws.sendq.push(item);
     sendq_depth_changed(w, +1);
     if (tracing()) lc(obs::Stage::kEnqueue, w, slice, iteration, item.payload);
@@ -1006,15 +988,12 @@ sim::Task Cluster::node_demux(int n) {
       // Delivery confirmed: retire the sender-side retransmission state
       // and cancel its timer.
       retire_pending(m.msg_id);
-      if (membership_on_) {
-        on_replicate_ack(m.msg_id);
-        on_migrate_ack(m.msg_id);
-      }
+      on_replicate_ack(m.msg_id);
+      on_migrate_ack(m.msg_id);
       continue;
     }
     if (m.kind == net::MsgKind::kHeartbeat) {
-      if (scale_plane_ &&
-          node_state_[static_cast<std::size_t>(m.src)].retired) {
+      if (node_state_[static_cast<std::size_t>(m.src)].retired) {
         // Invariant 12: retirement is forever. The goodbye at retirement
         // supersedes every beacon the node posted before leaving; a stale
         // one still in the fabric must not resurrect the node in this
@@ -1164,14 +1143,12 @@ sim::Task Cluster::node_demux(int n) {
         // group starts migrating it. Repeats are idempotent: a group
         // already migrating (or already handed over) is skipped.
         if (server_idx < 0) break;
-        if (scale_plane_) {
-          const auto& rs = node_state_[static_cast<std::size_t>(
-              server_node(m.worker))];
-          // A draining node stops accepting new shard leadership: a stale
-          // admission ask racing the drain must not hand groups back to
-          // the very node busy migrating them out.
-          if (rs.draining || rs.retired) break;
-        }
+        // A draining node stops accepting new shard leadership: a stale
+        // admission ask racing the drain must not hand groups back to the
+        // very node busy migrating them out.
+        const auto& rs =
+            node_state_[static_cast<std::size_t>(server_node(m.worker))];
+        if (rs.draining || rs.retired) break;
         for (const int g : rebalance_plan(m.worker)) {
           if (leadership_[nn]->primary(g) != server_idx) continue;
           start_migration(server_idx, g, m.worker);
@@ -1214,20 +1191,18 @@ void Cluster::worker_repush_group(int w, int group) {
   // idempotent.
   auto& ws = *workers_[static_cast<std::size_t>(w)];
   if (!node_state_[static_cast<std::size_t>(w)].up) return;
-  if (partition_plane_) {
-    // Parked fresh pushes for this group are superseded by the re-push
-    // below (parked retransmissions keep their pending_tx state and drain
-    // through the ordinary unpark path, where the old primary redirects or
-    // stale-push-replies them).
-    auto& lot = parked_[static_cast<std::size_t>(w)];
-    for (auto it = lot.begin(); it != lot.end();) {
-      const bool fresh = it->retx_id < 0;
-      const int lot_group =
-          it->slice >= 0
-              ? partition_.slices[static_cast<std::size_t>(it->slice)].server
-              : -1;
-      it = (fresh && lot_group == group) ? lot.erase(it) : std::next(it);
-    }
+  // Parked fresh pushes for this group are superseded by the re-push below
+  // (parked retransmissions keep their pending_tx state and drain through
+  // the ordinary unpark path, where the old primary redirects or
+  // stale-push-replies them).
+  auto& lot = parked_[static_cast<std::size_t>(w)];
+  for (auto it = lot.begin(); it != lot.end();) {
+    const bool fresh = it->retx_id < 0;
+    const int lot_group =
+        it->slice >= 0
+            ? partition_.slices[static_cast<std::size_t>(it->slice)].server
+            : -1;
+    it = (fresh && lot_group == group) ? lot.erase(it) : std::next(it);
   }
   for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
     const auto si = static_cast<std::size_t>(s);
@@ -1330,29 +1305,12 @@ void Cluster::enqueue_agg_push(int agg, std::int64_t slice,
   // competes at slice priority and inherits the parking and
   // retransmit-through-the-sendq semantics every worker push has.
   const std::int64_t id = next_agg_id_++;
-  const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
   AggCover cv;
   cv.workers = std::move(cover);
-  cv.remaining = sl.payload_bytes();
+  cv.remaining =
+      partition_.slices[static_cast<std::size_t>(slice)].payload_bytes();
   agg_cover_.emplace(id, std::move(cv));
-  auto& ws = *workers_[static_cast<std::size_t>(agg)];
-  Bytes remaining = sl.payload_bytes();
-  while (remaining > 0) {
-    SendItem item;
-    item.slice = slice;
-    item.kind = net::MsgKind::kPushGradient;
-    item.iteration = iteration;
-    item.payload = std::min(remaining, cfg_.fragment_bytes);
-    item.priority = item_priority(slice);
-    item.seq = ws.send_seq++;
-    item.agg_id = id;
-    if (tracing()) {
-      lc(obs::Stage::kEnqueue, agg, slice, iteration, item.payload);
-    }
-    ws.sendq.push(item);
-    sendq_depth_changed(agg, +1);
-    remaining -= item.payload;
-  }
+  enqueue_push(agg, slice, iteration, /*direct=*/false, id);
   ++agg_combined_pushes_;
 }
 
@@ -1929,7 +1887,7 @@ sim::Task Cluster::server_loop(int n) {
           const Bytes add = std::min(payload, room);
           contrib += add;
           credited += add;
-          if (scale_plane_ && hierarchy_on_) {
+          if (hierarchy_on_) {
             // Per-rack push weight by origin rack: the drain-target rack
             // preference reads this.
             rack_group_push_bytes_[static_cast<std::size_t>(
@@ -1938,7 +1896,7 @@ sim::Task Cluster::server_loop(int n) {
                 static_cast<double>(add);
           }
         }
-        if (scale_plane_ && credited > 0) {
+        if (credited > 0) {
           // Credited (exactly-once) ledger bytes are the weighted planner's
           // observed per-group push signal.
           group_push_bytes_[static_cast<std::size_t>(sl.server)] +=
@@ -2102,14 +2060,14 @@ void Cluster::dssp_buffer_future(int server, const net::Message& m) {
     const Bytes add = std::min(m.logical, room);
     have += add;
     credited += add;
-    if (scale_plane_ && hierarchy_on_) {
+    if (hierarchy_on_) {
       rack_group_push_bytes_[static_cast<std::size_t>(
           node_rack_[static_cast<std::size_t>(cw)])]
                             [static_cast<std::size_t>(sl.server)] +=
           static_cast<double>(add);
     }
   }
-  if (scale_plane_ && credited > 0) {
+  if (credited > 0) {
     group_push_bytes_[static_cast<std::size_t>(sl.server)] +=
         static_cast<double>(credited);
   }
@@ -2382,14 +2340,12 @@ sim::Task Cluster::server_admit(int node, std::int64_t epoch) {
 }
 
 std::vector<int> Cluster::rebalance_plan(int joiner_server) const {
-  // Scale plane: the weighted plan was frozen cluster-globally when the
+  // A running scale plane froze a weighted plan cluster-globally when the
   // join executed (carried in the join request, in the narrative), so the
   // joiner's admission loop and the donors' kServerJoin handlers agree on
   // it even as push-byte observations keep moving.
-  if (scale_plane_) {
-    const auto it = join_plan_.find(joiner_server);
-    if (it != join_plan_.end()) return it->second;
-  }
+  const auto it = join_plan_.find(joiner_server);
+  if (it != join_plan_.end()) return it->second;
   // Deterministic planner: joiner k (0-based in id order) takes its fair
   // share of contiguous groups, max(1, n_groups / (n_base + k + 1)),
   // starting at (k * take) % n_groups. A pure function of the config, so
@@ -2668,7 +2624,7 @@ void Cluster::lease_tick(int n) {
     const int g = *it;
     if (view.alive(server_node(lead.primary(g)))) {
       it = pend.erase(it);  // the primary came back before the lease ran out
-      if (partition_plane_) quorum_denied_[nn].erase(g);
+      quorum_denied_[nn].erase(g);
       continue;
     }
     // Drift margin: this observer's clock may run fast relative to the
@@ -2700,7 +2656,7 @@ void Cluster::lease_tick(int n) {
       ++it;
       continue;
     }
-    if (partition_plane_) quorum_denied_[nn].erase(g);
+    quorum_denied_[nn].erase(g);
     it = pend.erase(it);
     failover_scan(n, g);
   }
@@ -2711,13 +2667,12 @@ bool Cluster::group_frozen(int server, int group) const {
   if (mit != migrations_in_progress_.end() && mit->second.donor == server) {
     return true;
   }
-  return leases_on_ &&
-         fenced_[static_cast<std::size_t>(server_node(server))].count(group) >
-             0;
+  return fenced_[static_cast<std::size_t>(server_node(server))].contains(
+      group);
 }
 
 void Cluster::seed_self_lease(int server, int group) {
-  if (!leases_on_ || cfg_.replication <= 1) return;
+  if (cfg_.replication <= 1) return;
   const int node = server_node(server);
   const auto nn = static_cast<std::size_t>(node);
   auto& sl = self_lease_[nn][static_cast<std::size_t>(group)];
@@ -2725,7 +2680,6 @@ void Cluster::seed_self_lease(int server, int group) {
 }
 
 TimeS Cluster::local_now(int n) const {
-  if (!drift_on_) return sim_.now();
   const auto nn = static_cast<std::size_t>(n);
   return sim_.now() * (1.0 + clock_rate_[nn]) + clock_offset_[nn];
 }
@@ -2758,7 +2712,7 @@ void Cluster::update_acting(int server, int group) {
   Acting& a = acting_[sn][static_cast<std::size_t>(group)];
   const bool should = node_state_[nn].up &&
                       leadership_[nn]->primary(group) == server &&
-                      !(leases_on_ && fenced_[nn].count(group) > 0);
+                      !fenced_[nn].contains(group);
   if (should == a.open) return;
   if (should) {
     for (int o = 0; o < n_total_servers(); ++o) {
@@ -2818,8 +2772,7 @@ sim::Task Cluster::checkpoint_loop(int s) {
     std::vector<std::int64_t> snapshot = ss.version;
     const Bytes bytes = replicated_state_bytes(s);
     const TimeS t0 = sim_.now();
-    co_await sim_.sleep(static_cast<double>(bytes) /
-                        cfg_.checkpoint_bytes_per_sec);
+    co_await sim_.sleep(static_cast<double>(bytes) / kCheckpointBytesPerSec);
     if (node_state_[node].epoch != epoch) continue;  // torn write discarded
     ckpt_versions_[static_cast<std::size_t>(s)] = std::move(snapshot);
     ++checkpoints_written_;
@@ -2836,8 +2789,7 @@ sim::Task Cluster::server_rehydrate(int s, std::int64_t epoch) {
   const TimeS t0 = sim_.now();
   // Load the last completed checkpoint from stable storage.
   const Bytes ckpt_bytes = replicated_state_bytes(s);
-  co_await sim_.sleep(static_cast<double>(ckpt_bytes) /
-                      cfg_.checkpoint_bytes_per_sec);
+  co_await sim_.sleep(static_cast<double>(ckpt_bytes) / kCheckpointBytesPerSec);
   if (node_state_[node].epoch != epoch) co_return;  // crashed again
   const auto& lead = *leadership_[node];
   std::vector<std::int64_t> mine;
@@ -2998,12 +2950,12 @@ void Cluster::teardown_process_state(int node) {
     reset_recv_versions(ws, -1);  // holds nothing
     ws.recv_bytes.assign(ws.recv_bytes.size(), 0);
     ws.recv_inflight.assign(ws.recv_inflight.size(), -1);
-    if (partition_plane_) parked_[nn].clear();  // parked copies die with it
-    if (scale_plane_) shed_parked_[nn].clear();  // shed copies die with it
+    parked_[nn].clear();       // parked copies die with it
+    shed_parked_[nn].clear();  // shed copies die with it
   }
   // Rack folds are in-memory aggregator state; covers already forwarded are
   // payload-carried data and survive (the server consumes them).
-  if (agg_on_) agg_rounds_[nn].clear();
+  agg_rounds_[nn].clear();
   const int s = server_of_node(node);
   if (s >= 0) {
     auto& ss = *servers_[static_cast<std::size_t>(s)];
@@ -3015,7 +2967,7 @@ void Cluster::teardown_process_state(int node) {
     for (auto& p : ss.pending) p.clear();
     // Buffered run-ahead contributions are server memory; workers re-push
     // their whole outstanding window when leadership moves.
-    if (dssp_on_) dssp_future_[static_cast<std::size_t>(s)].clear();
+    dssp_future_[static_cast<std::size_t>(s)].clear();
     // Commit barriers owned by the dead primary die with it; the replicated
     // copies (if any landed) survive at the backups.
     for (auto it = commits_.begin(); it != commits_.end();) {
@@ -3024,12 +2976,10 @@ void Cluster::teardown_process_state(int node) {
     // Acting intervals close with the process (ground truth).
     for (int g = 0; g < n_servers(); ++g) update_acting(s, g);
   }
-  if (leases_on_) {
-    // Fences and deferred failovers are process state.
-    fenced_[nn].clear();
-    pending_failover_[nn].clear();
-    if (partition_plane_) quorum_denied_[nn].clear();
-  }
+  // Fences and deferred failovers are process state.
+  fenced_[nn].clear();
+  pending_failover_[nn].clear();
+  quorum_denied_[nn].clear();
   // In-flight migrations die with the donor's process, and with a target
   // that will never return (a restarting target is bridged by
   // retransmission: its dedup memory clears with the crash, so re-applied
@@ -3186,16 +3136,14 @@ int Cluster::drain_target(int donor, int group) const {
   }
   // With a topology attached, prefer landing the group's next primary in
   // the rack that pushes it hardest (the per-rack push-byte gauges).
+  // Flat runs hold no racks, so no rack is preferred.
   int hot_rack = -1;
-  if (hierarchy_on_) {
-    double hot = -1.0;
-    for (std::size_t r = 0; r < rack_group_push_bytes_.size(); ++r) {
-      const double v =
-          rack_group_push_bytes_[r][static_cast<std::size_t>(group)];
-      if (v > hot) {
-        hot = v;
-        hot_rack = static_cast<int>(r);
-      }
+  double hot = -1.0;
+  for (std::size_t r = 0; r < rack_group_push_bytes_.size(); ++r) {
+    const double v = rack_group_push_bytes_[r][static_cast<std::size_t>(group)];
+    if (v > hot) {
+      hot = v;
+      hot_rack = static_cast<int>(r);
     }
   }
   const auto& lead =

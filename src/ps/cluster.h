@@ -22,9 +22,9 @@
 // requests at the start of the next iteration instead.
 //
 // Crash recovery (docs/PROTOCOL.md): when a fault plan schedules node
-// crashes — or `replication > 1` / `force_membership` is set — the cluster
-// additionally runs a membership plane: every node gossips heartbeat beacons
-// and keeps an independent liveness view (`ps::Membership`); each server
+// crashes — or `replication > 1` is set — the cluster additionally runs a
+// membership plane: every node gossips heartbeat beacons and keeps an
+// independent liveness view (`ps::Membership`); each server
 // shard is replicated on `replication` consecutive servers with
 // primary-backup propagation and a commit barrier (parameters are released
 // to workers only after every live backup acknowledged the replicated
@@ -149,9 +149,8 @@ struct ClusterConfig {
   bool reliable_transport = false;
   /// Floor of the per-message retransmission timeout. The initial RTO also
   /// scales with the message's serialization time and the cluster's incast
-  /// depth, and backs off by `rto_backoff` on every expiry.
+  /// depth, and doubles on every expiry.
   TimeS min_rto = ms(50);
-  double rto_backoff = 2.0;
   /// Ceiling of the backed-off RTO: a long outage (node down for seconds
   /// awaiting restart) keeps probing at this bounded rate instead of
   /// doubling into minutes. Defaults high enough that loss-only fault runs
@@ -181,15 +180,11 @@ struct ClusterConfig {
   /// rehydrates from its last completed checkpoint plus a delta from the
   /// current group leader.
   TimeS checkpoint_period = 0.0;
-  /// Simulated stable-storage write/read rate for checkpoints.
-  double checkpoint_bytes_per_sec = 4e9;
   /// Bounded-staleness window for rejoining workers: a rejoined worker is
   /// not *expected* (waited for) by the aggregation rounds until
   /// `current version + rejoin_slack`, though earlier contributions still
   /// merge when they arrive.
   std::int64_t rejoin_slack = 1;
-  /// Arm the membership plane even without crashes or replication (tests).
-  bool force_membership = false;
   /// Watchdog: abort a membership run that exceeds this much simulated time
   /// (stuck recovery would otherwise heartbeat forever). 0 = 3600 s when
   /// the membership plane is armed; ignored otherwise.
@@ -267,8 +262,6 @@ class Cluster {
   sim::Simulator& simulator() { return sim_; }
   net::Network& network() { return *net_; }
   const core::Partition& partition() const { return partition_; }
-  const model::ComputeProfile& profile() const { return profile_; }
-  const core::SyncConfig& sync_config() const { return sync_; }
 
   void attach_monitor(net::UtilizationMonitor* monitor) {
     net_->attach_monitor(monitor);
@@ -318,13 +311,12 @@ class Cluster {
   // flag says whether the plane *runs*: heartbeats, failover, recovery.
   // Every other plane counter is in metrics() (docs/OBSERVABILITY.md).
   bool membership_armed() const { return membership_on_; }
-  bool node_up(int node) const {
-    return node_state_[static_cast<std::size_t>(node)].up;
-  }
   std::int64_t heartbeats_sent() const { return heartbeats_sent_.value(); }
   bool leases_armed() const { return leases_on_; }
   bool partition_plane_armed() const { return partition_plane_; }
-  bool clock_drift_armed() const { return drift_on_; }
+  bool clock_drift_armed() const {
+    return membership_on_ && cfg_.faults.skewed();
+  }
   bool hierarchy_armed() const { return hierarchy_on_; }
   bool rack_aggregation_armed() const { return agg_on_; }
   bool scale_plane_armed() const { return scale_plane_; }
@@ -344,16 +336,6 @@ class Cluster {
   /// Current adaptive bound (s_min when DSSP is disarmed).
   int staleness_bound() const {
     return staleness_ != nullptr ? staleness_->bound() : 0;
-  }
-  /// Worker `w`'s DSSP iteration clock (-1 = not running).
-  std::int64_t dssp_clock(int w) const {
-    return dssp_clock_[static_cast<std::size_t>(w)];
-  }
-  /// True while `server` has stepped down from `group` because it could not
-  /// renew its own lease (leases must be armed).
-  bool lease_fenced(int server, int group) const {
-    return fenced_[static_cast<std::size_t>(server_node(server))].count(
-               group) > 0;
   }
   /// Local liveness view of `node` (all-alive unless the plane is armed).
   const Membership& membership_view(int node) const {
@@ -575,8 +557,11 @@ class Cluster {
     return cfg_.dedicated_servers ? cfg_.n_workers : n_total_workers();
   }
 
+  /// Queue `slice`'s payload as fragments into worker `w`'s priority send
+  /// queue. `agg_id` >= 0 marks an aggregator's combined push carrying that
+  /// cover; only the worker's own pushes (agg_id < 0) set last_push_iter.
   void enqueue_push(int w, std::int64_t slice, std::int64_t iteration,
-                    bool direct = false);
+                    bool direct = false, std::int64_t agg_id = -1);
   void enqueue_pull(int w, std::int64_t slice, std::int64_t iteration);
   void worker_on_notify(int w, const net::Message& m);
   void worker_on_param(int w, const net::Message& m);
@@ -910,9 +895,11 @@ class Cluster {
   static constexpr std::size_t kDedupGcThreshold = 4096;
   Rng rto_rng_{0};  ///< consumed only when rto_jitter > 0
 
-  // Membership plane. Views and leadership exist in every run; with the
-  // plane disarmed nothing drives them, so every view stays all-alive and
-  // every group keeps its home primary. The rest is sized only when armed.
+  // Every plane's state below is sized in the constructor of every run; the
+  // plane flags gate only what runs. With the membership plane disarmed
+  // nothing drives its views, so every view stays all-alive and every group
+  // keeps its home primary. ckpt_versions_ and ServerState::sync_epoch are
+  // the exceptions: n_servers x n_slices each, sized only when armed.
   bool membership_on_ = false;
   std::vector<NodeState> node_state_;
   std::vector<std::unique_ptr<Membership>> membership_;    // per node
@@ -924,7 +911,7 @@ class Cluster {
   std::unordered_map<std::int64_t, CommitState> commits_;  // key -> barrier
   std::vector<std::vector<std::int64_t>> ckpt_versions_;   // per server "disk"
 
-  // Elastic scale-out + lease-based leadership (inert unless armed).
+  // Elastic scale-out + lease-based leadership.
   bool leases_on_ = false;
   TimeS lease_len_ = 0.0;
   /// Per node: groups whose primary the node suspects dead but whose lease
@@ -941,21 +928,22 @@ class Cluster {
   std::unordered_map<std::int64_t, int> migration_wait_;  // msg id -> group
   std::map<int, MigrationState> migrations_in_progress_;  // group -> state
 
-  // Partition fault plane + per-node clock drift (inert unless armed).
+  // Partition fault plane + per-node clock drift.
   /// Set when the fault plan schedules partitions and the membership plane
   /// is on: arms push parking, echo-gated self-leases, quorum-gated
   /// self-fencing, and heal-time bounded-staleness re-admission.
   bool partition_plane_ = false;
-  bool drift_on_ = false;
-  std::vector<double> clock_rate_;   ///< per node: relative rate error
-  std::vector<TimeS> clock_offset_;  ///< per node: constant offset (inert)
+  /// Per node: relative rate error and constant offset (both zero unless
+  /// the fault plan is skewed).
+  std::vector<double> clock_rate_;
+  std::vector<TimeS> clock_offset_;
   /// Per worker: pushes parked while the destination is dead in its view.
   std::vector<std::vector<SendItem>> parked_;
   /// Per node: groups whose expired-lease failover quorum currently denies
   /// (counted once per denial episode).
   std::vector<std::set<int>> quorum_denied_;
 
-  // Rack-scale hierarchy + rack-local aggregation (inert unless armed).
+  // Rack-scale hierarchy + rack-local aggregation.
   /// One rack-local pre-reduction in progress at an aggregator, keyed by
   /// (slice, iteration). Folded bytes per worker, plus the members already
   /// covered by a forwarded combined push. Dies with the aggregator process.
@@ -982,14 +970,14 @@ class Cluster {
   std::unordered_map<std::int64_t, AggCover> agg_cover_;
   std::int64_t next_agg_id_ = 0;
 
-  // Voluntary drain + autoscaling (inert unless armed: planned leaves or an
-  // enabled autoscaler).
+  // Voluntary drain + autoscaling (runs for planned leaves or an enabled
+  // autoscaler).
   bool scale_plane_ = false;
   /// Per-group credited push bytes (ground truth, fed from the contribution
   /// ledger); the weighted planner's signal.
   std::vector<double> group_push_bytes_;
-  /// Per rack, per group: credited push bytes by origin rack (topology
-  /// runs only; the drain-target rack preference).
+  /// Per rack, per group: credited push bytes by origin rack (empty without
+  /// a topology); the drain-target rack preference.
   std::vector<std::vector<double>> rack_group_push_bytes_;
   /// Admission-time frozen rebalance plans (joiner server -> groups), so
   /// the joiner's ask and every donor's answer agree even as weights move.
@@ -1014,7 +1002,8 @@ class Cluster {
   std::int64_t unshed_iter_count_ = -1;
   std::vector<TimeS> scale_decision_times_;
 
-  // DSSP dynamic bounded-staleness gate (inert unless method == kDSSP).
+  // DSSP dynamic bounded-staleness gate (runs for method == kDSSP). The
+  // controller, the gate and the gap gauges exist only then.
   bool dssp_on_ = false;
   std::unique_ptr<StalenessController> staleness_;
   /// The gate: its version is the monotone floor of the min eligible clock;

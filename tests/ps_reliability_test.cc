@@ -287,9 +287,6 @@ TEST(Reliability, InvalidReliabilityConfigsThrow) {
   ClusterConfig bad_rto = small_config(SyncMethod::kP3);
   bad_rto.min_rto = 0.0;
   EXPECT_THROW(Cluster(small_workload(), bad_rto), std::invalid_argument);
-  ClusterConfig bad_backoff = small_config(SyncMethod::kP3);
-  bad_backoff.rto_backoff = 0.5;
-  EXPECT_THROW(Cluster(small_workload(), bad_backoff), std::invalid_argument);
   ClusterConfig bad_drop = small_config(SyncMethod::kP3);
   bad_drop.faults.drop_prob = 2.0;
   EXPECT_THROW(Cluster(small_workload(), bad_drop), std::invalid_argument);
